@@ -97,5 +97,5 @@ def write_cnn_features(
         for image_id, proposal_index, vector in records:
             if any(ch.isspace() for ch in image_id):
                 raise ValueError(f"image id {image_id!r} contains whitespace")
-            vals = " ".join(modelio.fmt_float(v) for v in np.asarray(vector).ravel())
+            vals = " ".join(map(modelio.fmt_float, np.asarray(vector).ravel().tolist()))
             fh.write(f"{image_id} {proposal_index} {vals}\n")

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from ..core import Box
-from ..images import Image, sample_window, to_grayscale
 from .. import modelio
 
 _EPS = 1e-12
@@ -75,46 +74,40 @@ class GmmModel:
         )
 
 
-def dense_descriptors(img: Image, window: Box, stride: int, patch: int) -> np.ndarray:
-    """Raw local descriptors on a regular grid inside a window.
+def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray:
+    """Raw local descriptors on a regular grid over grayscale planes.
 
     Each descriptor concatenates the per-pixel (dx, dy) gradients of a
     patch-by-patch square, contrast-normalized to unit L2 norm (all-zero
-    patches stay zero). Returns an array of shape (count, patch*patch*2);
-    count is zero when the window is smaller than the patch.
+    patches stay zero). planes is one (h, w) plane, giving an array of shape
+    (count, patch*patch*2), or a (P, h, w) stack of equal-size planes, giving
+    (P, count, patch*patch*2) in one pass; count is zero when a plane is
+    smaller than the patch.
     """
     if stride < 1 or patch < 2:
         raise ValueError(f"need stride >= 1 and patch >= 2, got {stride}, {patch}")
-    w = max(1, int(round(window.width)))
-    h = max(1, int(round(window.height)))
+    single = planes.ndim == 2
+    stack = planes[None] if single else planes
+    n, h, w = stack.shape
+    length = patch * patch * 2
     if w < patch or h < patch:
-        return np.zeros((0, patch * patch * 2))
-    gray = sample_window(to_grayscale(img), window, w, h)
-    gy, gx = np.gradient(gray)
-
-    xs = range(0, w - patch + 1, stride)
-    ys = range(0, h - patch + 1, stride)
-    out = np.empty((len(ys) * len(xs), patch * patch * 2))
-    i = 0
-    for y0 in ys:
-        for x0 in xs:
-            d = np.stack(
-                [gx[y0 : y0 + patch, x0 : x0 + patch], gy[y0 : y0 + patch, x0 : x0 + patch]],
-                axis=-1,
-            ).ravel()
-            norm = np.sqrt(d @ d)
-            if norm > _EPS:
-                d = d / norm
-            out[i] = d
-            i += 1
-    return out
+        out = np.zeros((n, 0, length))
+    else:
+        gy, gx = np.gradient(stack, axis=(1, 2))
+        grads = np.stack([gx, gy], axis=-1)  # (n, h, w, 2)
+        squares = sliding_window_view(grads, (patch, patch, 2), axis=(1, 2, 3))
+        out = squares[:, ::stride, ::stride, 0].reshape(n, -1, length)
+        norms = np.sqrt(np.vecdot(out, out))
+        # out of place: when each window row is one contiguous block of
+        # grads, out is still the read-only view
+        out = out / np.where(norms > _EPS, norms, 1.0)[..., None]
+    return out[0] if single else out
 
 
-def pca_fit(descriptors: np.ndarray, target_dim: int, seed: int = 0) -> PcaModel:
+def pca_fit(descriptors: np.ndarray, target_dim: int) -> PcaModel:
     """Top-eigenvector projection of the sample covariance.
 
-    The decomposition is deterministic; seed is accepted for interface
-    symmetry with the other trainers. Raises when the data cannot support
+    The decomposition is deterministic. Raises when the data cannot support
     target_dim components, naming the achievable rank.
     """
     X = np.asarray(descriptors, dtype=np.float64)
@@ -142,14 +135,17 @@ def pca_fit(descriptors: np.ndarray, target_dim: int, seed: int = 0) -> PcaModel
 
 
 def pca_apply(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
+    """Projects a (T, raw_dim) descriptor set to (T, dim), or a (P, T, raw_dim)
+    stack to (P, T, dim) in one call.
+
+    A stack is multiplied one (T, raw_dim) matrix at a time, so each set gets
+    exactly the values it gets on its own; one flattened (P*T, raw_dim)
+    product can differ in the last ulp.
+    """
     X = np.asarray(descriptors, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != model.mean.shape[0]:
-        raise ValueError(f"descriptor dim {X.shape[1]} does not match model {model.mean.shape[0]}")
-    out = (X - model.mean) @ model.basis
-    return out[0] if single else out
+    if X.shape[-1] != model.mean.shape[0]:
+        raise ValueError(f"descriptor dim {X.shape[-1]} does not match model {model.mean.shape[0]}")
+    return (X - model.mean) @ model.basis
 
 
 def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,7 +167,11 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
-    """log(w_k * N(x | mu_k, diag var_k)) for every descriptor/component."""
+    """log(w_k * N(x | mu_k, diag var_k)) for every descriptor/component.
+
+    X is (T, D) or a (P, T, D) stack; a stack is multiplied one (T, D) matrix
+    at a time, so each set gets exactly the values it gets on its own.
+    """
     inv_var = 1.0 / gmm.variances
     quad = (
         (X**2) @ inv_var.T
@@ -185,9 +185,9 @@ def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
 
 
 def gmm_posteriors(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Soft assignments; rows sum to 1."""
+    """Soft assignments of (T, D) or (P, T, D) descriptors; rows sum to 1."""
     logp = _log_densities(gmm, X)
-    return np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+    return np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
 
 
 def gmm_fit(
@@ -263,22 +263,30 @@ def fisher_length(dim: int, k: int) -> int:
 
 
 def fisher_encode(descriptors: np.ndarray, gmm: GmmModel) -> np.ndarray:
-    """Improved Fisher vector of a descriptor set under a mixture codebook.
+    """Improved Fisher vectors of descriptor sets under a mixture codebook.
 
-    Raises on an empty descriptor list and on input whose raw gradient
-    vector is identically zero (it cannot be L2-normalized).
+    descriptors is one (T, D) set, giving a fisher_length(D, K) vector, or a
+    (P, T, D) stack of equal-size sets, giving a (P, fisher_length) array
+    computed in one pass. Raises on an empty descriptor set and on any set
+    whose raw gradient vector is identically zero (it cannot be
+    L2-normalized).
     """
     X = np.asarray(descriptors, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim not in (2, 3) or X.shape[-2] == 0:
         raise ValueError("need at least one descriptor")
-    if X.shape[1] != gmm.dim:
-        raise ValueError(f"descriptor dim {X.shape[1]} does not match codebook {gmm.dim}")
-    t = X.shape[0]
-    gamma = gmm_posteriors(gmm, X)  # (T, K)
+    if X.shape[-1] != gmm.dim:
+        raise ValueError(f"descriptor dim {X.shape[-1]} does not match codebook {gmm.dim}")
+    single = X.ndim == 2
+    if single:
+        X = X[None]
+    n, t, _ = X.shape
+    gamma = gmm_posteriors(gmm, X)  # (P, T, K)
 
-    s0 = gamma.sum(axis=0)  # (K,)
-    s1 = gamma.T @ X  # (K, D)
-    s2 = gamma.T @ (X**2)  # (K, D)
+    # per-set statistics, one (K, T) @ (T, D) product per set
+    s0 = gamma.sum(axis=1)  # (P, K)
+    gamma_t = gamma.transpose(0, 2, 1)
+    s1 = gamma_t @ X  # (P, K, D)
+    s2 = gamma_t @ (X**2)  # (P, K, D)
 
     w = gmm.weights
     mu = gmm.means
@@ -286,14 +294,15 @@ def fisher_encode(descriptors: np.ndarray, gmm: GmmModel) -> np.ndarray:
     sigma = np.sqrt(var)
 
     g_weight = (s0 - t * w) / (t * np.sqrt(w))
-    g_mean = (s1 - mu * s0[:, None]) / (t * np.sqrt(w)[:, None] * sigma)
-    g_var = (s2 - 2.0 * mu * s1 + (mu**2 - var) * s0[:, None]) / (
+    g_mean = (s1 - mu * s0[:, :, None]) / (t * np.sqrt(w)[:, None] * sigma)
+    g_var = (s2 - 2.0 * mu * s1 + (mu**2 - var) * s0[:, :, None]) / (
         t * np.sqrt(2.0 * w)[:, None] * var
     )
 
-    raw = np.concatenate([g_weight, g_mean.ravel(), g_var.ravel()])
+    raw = np.concatenate([g_weight, g_mean.reshape(n, -1), g_var.reshape(n, -1)], axis=1)
     raw = np.sign(raw) * np.sqrt(np.abs(raw))
-    norm = np.sqrt(raw @ raw)
-    if norm <= _EPS:
+    norms = np.sqrt(np.vecdot(raw, raw))
+    if np.any(norms <= _EPS):
         raise ValueError("raw Fisher vector is identically zero")
-    return raw / norm
+    raw /= norms[:, None]
+    return raw[0] if single else raw

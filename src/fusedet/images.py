@@ -6,6 +6,7 @@ drawing) the pipeline shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -107,12 +108,22 @@ def write_pnm(img: Image, path) -> None:
         fh.write(img.pixels.tobytes())
 
 
-def to_grayscale(img: Image) -> np.ndarray:
-    """Float64 grayscale plane in [0, 255]."""
-    px = img.pixels.astype(np.float64)
-    if img.channels == 1:
-        return px[:, :, 0]
-    return 0.299 * px[:, :, 0] + 0.587 * px[:, :, 1] + 0.114 * px[:, :, 2]
+def float_pixels(img: Image) -> np.ndarray:
+    """(height, width, channels) float64 copy of an image's samples.
+
+    Each channel's plane is stored whole, one after another, so that
+    per-channel work (resampling, grayscale) reads contiguous memory.
+    """
+    return np.moveaxis(np.moveaxis(img.pixels, -1, 0).astype(np.float64), 0, -1)
+
+
+def to_grayscale(img: Image | np.ndarray) -> np.ndarray:
+    """Float64 grayscale in [0, 255] of an Image, or of a float pixel array
+    whose last axis holds 1 or 3 channels (any leading shape)."""
+    px = float_pixels(img) if isinstance(img, Image) else img
+    if px.shape[-1] == 1:
+        return px[..., 0]
+    return 0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2]
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -139,36 +150,73 @@ def smooth(plane: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def sample_window(plane: np.ndarray, window: Box, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinearly resample a box of a float plane onto an out_h x out_w grid.
+def box_corners(boxes: Sequence[Box]) -> np.ndarray:
+    """(len(boxes), 4) float64 array of x_min, y_min, x_max, y_max rows."""
+    return np.array(
+        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
 
-    Samples are taken at output pixel centers mapped into the window; source
-    coordinates are clamped to the plane so windows touching the border stay
-    well defined.
+
+def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinearly resample windows of a float raster onto an out_h x out_w grid.
+
+    raster is an (h, w) plane or an (h, w, channels) image (float_pixels
+    layout is fastest). windows is one Box, giving an (out_h, out_w[,
+    channels]) array, or a (P, 4) array of corners (box_corners), giving
+    (P, out_h, out_w[, channels]) in one pass. Samples are taken at output
+    pixel centers mapped into each window; source coordinates are clamped to
+    the raster so windows touching or crossing the border stay well defined.
     """
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output size must be positive")
-    h, w = plane.shape
-    xs = window.x_min + (np.arange(out_w) + 0.5) * (window.width / out_w) - 0.5
-    ys = window.y_min + (np.arange(out_h) + 0.5) * (window.height / out_h) - 0.5
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
-    top = plane[y0][:, x0] * (1 - fx)[None, :] + plane[y0][:, x1] * fx[None, :]
-    bot = plane[y1][:, x0] * (1 - fx)[None, :] + plane[y1][:, x1] * fx[None, :]
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
+    single = isinstance(windows, Box)
+    corners = box_corners([windows]) if single else windows
+    h, w = raster.shape[:2]
+    x_min, y_min = corners[:, 0:1], corners[:, 1:2]
+    widths = corners[:, 2:3] - x_min
+    heights = corners[:, 3:4] - y_min
+    xs = np.clip(x_min + (np.arange(out_w) + 0.5) * (widths / out_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip(y_min + (np.arange(out_h) + 0.5) * (heights / out_h) - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    fx = (xs - x0)[:, None, :]
+    fy = (ys - y0)[:, :, None]
+    x1 = np.minimum(x0 + 1, w - 1)[:, None, :]
+    row0 = (y0 * w)[:, :, None]
+    row1 = (np.minimum(y0 + 1, h - 1) * w)[:, :, None]
+    x0 = x0[:, None, :]
+
+    # gather from one flat plane per channel, (channels, P, out_h, out_w)
+    if raster.ndim == 3:
+        planes = np.moveaxis(raster, -1, 0).reshape(-1, h * w)
+    else:
+        planes = raster.reshape(1, -1)
+
+    def blend(index_a, index_b, weight_b):
+        """a * (1 - weight_b) + b * weight_b, formed in place."""
+        a = planes.take(index_a, axis=1)
+        a *= 1 - weight_b
+        b = planes.take(index_b, axis=1)
+        b *= weight_b
+        a += b
+        return a
+
+    top = blend(row0 + x0, row0 + x1, fx)
+    bot = blend(row1 + x0, row1 + x1, fx)
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    out = np.moveaxis(top, 0, -1) if raster.ndim == 3 else top[0]
+    return out[0] if single else out
 
 
-def sample_window_rgb(img: Image, window: Box, out_w: int, out_h: int) -> np.ndarray:
-    """Per-channel bilinear resample; returns (out_h, out_w, channels) float64."""
-    px = img.pixels.astype(np.float64)
-    planes = [sample_window(px[:, :, c], window, out_w, out_h) for c in range(img.channels)]
-    return np.stack(planes, axis=-1)
+def sample_window_rgb(
+    img: Image | np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int
+) -> np.ndarray:
+    """sample_window over every channel of an Image, or of its float_pixels
+    array (pass the array to convert the image once for many calls)."""
+    px = float_pixels(img) if isinstance(img, Image) else img
+    return sample_window(px, windows, out_w, out_h)
 
 
 def draw_rect(pixels: np.ndarray, box: Box, color, thickness: int = 1) -> None:

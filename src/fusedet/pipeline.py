@@ -39,16 +39,27 @@ from .evaluation import mean_ap, per_class_report, read_report, write_report, ca
 from .features import (
     dense_descriptors,
     fisher_encode,
+    fisher_length,
     GmmModel,
     PcaModel,
     gmm_fit,
     hog,
+    hog_length,
     load_cnn_features,
     pca_apply,
     pca_fit,
     write_cnn_features,
 )
-from .images import Image, draw_rect, read_pnm, sample_window_rgb, write_pnm
+from .images import (
+    Image,
+    box_corners,
+    draw_rect,
+    float_pixels,
+    read_pnm,
+    sample_window_rgb,
+    to_grayscale,
+    write_pnm,
+)
 from .manifest import DatasetManifest, read_manifest
 from .proposals import SelectiveSearchConfig, selective_search
 from .regress import BoxRegressor, refine, train_bbox_regressor
@@ -58,6 +69,10 @@ logger = logging.getLogger(__name__)
 
 CHANNELS = ("cnn", "hog", "ifv")
 CNN_EMBED_SIDE = 6  # stand-in embedding: 6x6 RGB thumbnail, 108 dims
+# proposals per array pass in extract: each adds about 0.5 MB of float64
+# temporaries, so a pass stays near 4.5 MB while removing most of the
+# per-proposal Python work
+EXTRACT_CHUNK = 8
 
 
 class MissingArtifact(RuntimeError):
@@ -208,15 +223,46 @@ def stage_propose(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     return path
 
 
-def _embed_window(img: Image, box: Box) -> np.ndarray:
-    """Stand-in for an external CNN: an L2-normalized small RGB thumbnail."""
-    v = sample_window_rgb(img, box, CNN_EMBED_SIDE, CNN_EMBED_SIDE).ravel() / 255.0
-    return v / max(float(np.sqrt(v @ v)), 1e-12)
+def _embed_rows(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Stand-in for an external CNN: L2-normalized small RGB thumbnails, one
+    row per window of an image's float pixels."""
+    v = sample_window_rgb(px, windows, CNN_EMBED_SIDE, CNN_EMBED_SIDE).reshape(len(windows), -1)
+    v /= 255.0
+    v /= np.maximum(np.sqrt(np.vecdot(v, v)), 1e-12)[:, None]
+    return v
 
 
-def _canonical_window(img: Image, box: Box, side: int) -> Image:
-    rgb = sample_window_rgb(img, box, side, side)
-    return Image.from_array(np.clip(np.rint(rgb), 0, 255).astype(np.uint8))
+def _fisher_rows(cfg: PipelineConfig, px: np.ndarray, windows: np.ndarray, pca: PcaModel, gmm: GmmModel) -> np.ndarray:
+    """Fisher vectors of windows resampled to the canonical ifv.window square
+    and rounded to 8-bit samples, as if each were an image of its own."""
+    side = cfg.ifv_window
+    rgb = sample_window_rgb(px, windows, side, side)
+    np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb)
+    descriptors = dense_descriptors(to_grayscale(rgb), cfg.ifv_stride, cfg.ifv_patch)
+    return fisher_encode(pca_apply(pca, descriptors), gmm)
+
+
+def extract_image(
+    cfg: PipelineConfig, img: Image, windows: np.ndarray, pca: PcaModel, gmm: GmmModel, hog_out, ifv_out, cnn_out
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Features of one image: writes the HOG, Fisher and embedding rows of
+    every window (a (P, 4) corner array) into the matching rows of the three
+    outputs, and returns the Fisher vector and embedding of the whole image.
+
+    Windows go through the feature functions EXTRACT_CHUNK at a time, so the
+    float64 temporaries of one pass stay a few megabytes however many
+    proposals the image has.
+    """
+    px = float_pixels(img)
+    gray = to_grayscale(px)
+    for lo in range(0, len(windows), EXTRACT_CHUNK):
+        rows = slice(lo, lo + EXTRACT_CHUNK)
+        chunk = windows[rows]
+        hog_out[rows] = hog(gray, chunk, cfg.hog_cells_x, cfg.hog_cells_y)
+        ifv_out[rows] = _fisher_rows(cfg, px, chunk, pca, gmm)
+        cnn_out[rows] = _embed_rows(px, chunk)
+    full = box_corners([img.full_box])
+    return _fisher_rows(cfg, px, full, pca, gmm)[0], _embed_rows(px, full)[0]
 
 
 def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[PcaModel, GmmModel]:
@@ -228,7 +274,7 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     total = 0
     for im in man.images:
         img = read_pnm(man.resolved_path(im))
-        d = dense_descriptors(img, img.full_box, cfg.ifv_stride, cfg.ifv_patch)
+        d = dense_descriptors(to_grayscale(img), cfg.ifv_stride, cfg.ifv_patch)
         if len(d):
             chunks.append(d)
             total += len(d)
@@ -241,7 +287,7 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
         rng = np.random.default_rng(derive_seed(cfg.seed, "codebook-sample"))
         keep = np.sort(rng.choice(len(pool), size=cfg.ifv_codebook_samples, replace=False))
         pool = pool[keep]
-    pca = pca_fit(pool, cfg.ifv_pca_dim, derive_seed(cfg.seed, "pca"))
+    pca = pca_fit(pool, cfg.ifv_pca_dim)
     reduced = pca_apply(pca, pool)
     gmm = gmm_fit(
         reduced,
@@ -257,69 +303,77 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     return pca, gmm
 
 
-def _window_fisher(cfg, img: Image, box: Box, pca: PcaModel, gmm: GmmModel) -> np.ndarray:
-    win = _canonical_window(img, box, cfg.ifv_window)
-    d = dense_descriptors(win, win.full_box, cfg.ifv_stride, cfg.ifv_patch)
-    return fisher_encode(pca_apply(pca, d), gmm)
-
-
 def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     man = read_manifest(manifest_path)
     props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-
-    pca, gmm = _fit_codebook(cfg, man, out_dir)
-
-    hog_rows: List[np.ndarray] = []
-    ifv_rows: List[np.ndarray] = []
-    prior_rows: List[np.ndarray] = []
-    row_image: List[int] = []
-    row_proposal: List[int] = []
-    cnn_records: List[Tuple[str, int, np.ndarray]] = []
-    image_records: List[Tuple[str, int, np.ndarray]] = []
-
-    for i, im in enumerate(man.images):
+    for im in man.images:
         if im.image_id not in props:
             raise MissingArtifact(
                 f"no proposals for image {im.image_id}; rerun 'propose' on this manifest"
             )
+
+    pca, gmm = _fit_codebook(cfg, man, out_dir)
+
+    counts = np.array([len(props[im.image_id]) for im in man.images], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    n = int(counts.sum())
+    ifv_length = fisher_length(pca.dim, gmm.k)
+    hog_rows = np.empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
+    ifv_rows = np.empty((n, ifv_length), np.float32)
+    prior_rows = np.empty((len(man.images), ifv_length), np.float32)
+    cnn_records: List[Tuple[str, int, np.ndarray]] = []
+    image_records: List[Tuple[str, int, np.ndarray]] = []
+
+    for i, im in enumerate(man.images):
         img = read_pnm(man.resolved_path(im))
-        boxes = props[im.image_id]
-        for p, box in enumerate(boxes):
-            hog_rows.append(hog(img, box, cfg.hog_cells_x, cfg.hog_cells_y).astype(np.float32))
-            ifv_rows.append(_window_fisher(cfg, img, box, pca, gmm).astype(np.float32))
-            cnn_records.append((im.image_id, p, _embed_window(img, box)))
-            row_image.append(i)
-            row_proposal.append(p)
-        prior_rows.append(_window_fisher(cfg, img, img.full_box, pca, gmm).astype(np.float32))
-        image_records.append((im.image_id, 0, _embed_window(img, img.full_box)))
+        rows = slice(starts[i], starts[i] + counts[i])
+        embeddings = np.empty((counts[i], img.channels * CNN_EMBED_SIDE**2))
+        windows = box_corners(props[im.image_id])
+        prior_rows[i], image_embedding = extract_image(
+            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], embeddings
+        )
+        cnn_records.extend((im.image_id, p, v) for p, v in enumerate(embeddings))
+        image_records.append((im.image_id, 0, image_embedding))
 
     write_cnn_features(cnn_path(out_dir, tag), cnn_records)
     write_cnn_features(cnn_images_path(out_dir, tag), image_records)
     arrays = {
-        "hog": np.stack(hog_rows) if hog_rows else np.zeros((0, 36 * cfg.hog_cells_x * cfg.hog_cells_y), np.float32),
-        "ifv": np.stack(ifv_rows) if ifv_rows else np.zeros((0, 1), np.float32),
-        "prior_ifv": np.stack(prior_rows),
-        "row_image": np.asarray(row_image, dtype=np.int32),
-        "row_proposal": np.asarray(row_proposal, dtype=np.int32),
+        "hog": hog_rows,
+        "ifv": ifv_rows,
+        "prior_ifv": prior_rows,
+        "row_image": np.repeat(np.arange(len(counts)), counts).astype(np.int32),
+        "row_proposal": (np.arange(n) - np.repeat(starts, counts)).astype(np.int32),
     }
     path = features_path(out_dir, tag)
     cache.save_arrays(path, arrays)
-    _run_log(out_dir, "extract", tag, cfg, {"rows": len(row_image), "images": len(man.images)})
+    _run_log(out_dir, "extract", tag, cfg, {"rows": n, "images": len(man.images)})
     return path
+
+
+def _cnn_rows(path: Path, keys: Sequence[Tuple[str, int]]) -> np.ndarray:
+    """The vectors of a CNN features file for (image_id, proposal_index) keys, in order."""
+    table = load_cnn_features(_require(path, "extract"))
+    rows = []
+    for image_id, proposal_index in keys:
+        if (image_id, proposal_index) not in table:
+            raise MissingArtifact(
+                f"{path}: no vector for image {image_id} proposal {proposal_index}; rerun 'extract'"
+            )
+        rows.append(table.get(image_id, proposal_index))
+    return np.stack(rows) if rows else np.zeros((0, table.dim))
 
 
 def _load_channel_matrices(cfg, man, out_dir, tag):
     """Per-proposal feature matrices for all three channels, plus row index."""
     feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
-    table = load_cnn_features(_require(cnn_path(out_dir, tag), "extract"))
     row_image = feats["row_image"]
     row_proposal = feats["row_proposal"]
-    ids = [man.images[i].image_id for i in row_image]
-    cnn = np.stack(
-        [table.get(ids[r], int(row_proposal[r])) for r in range(len(ids))]
-    ) if len(ids) else np.zeros((0, table.dim))
+    cnn = _cnn_rows(
+        cnn_path(out_dir, tag),
+        [(man.images[i].image_id, int(p)) for i, p in zip(row_image, row_proposal)],
+    )
     return {
         "cnn": cnn,
         "hog": feats["hog"],
@@ -476,8 +530,7 @@ def _prior_features(cfg, man, out_dir, tag) -> np.ndarray:
     if cfg.prior_feature == "ifv":
         feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
         return feats["prior_ifv"].astype(np.float64)
-    table = load_cnn_features(_require(cnn_images_path(out_dir, tag), "extract"))
-    return np.stack([table.get(im.image_id, 0) for im in man.images])
+    return _cnn_rows(cnn_images_path(out_dir, tag), [(im.image_id, 0) for im in man.images])
 
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:

@@ -1,11 +1,13 @@
 """Gradient-orientation descriptor for the shape-template channel."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fusedet.core import Box
 from fusedet.features.hog import hog, hog_length
-from fusedet.images import Image
+from fusedet.images import Image, box_corners
 
 
 def _gray(arr):
@@ -78,3 +80,8 @@ def test_window_outside_image_errors():
         hog(img, Box(200, 0, 210, 10), 2, 2)
     with pytest.raises(ValueError):
         hog(img, Box(0, 0, 8, 8), 0, 2)
+    # in a batch, the message names the first window outside the image
+    corners = box_corners([Box(0, 0, 8, 8), Box(16, 2, 20, 6), Box(-4, -4, 0, 1)])
+    message = "window Box(x_min=16.0, y_min=2.0, x_max=20.0, y_max=6.0) lies outside the 16x16 image"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hog(img, corners, 2, 2)

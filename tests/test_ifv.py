@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fusedet.core import Box
 from fusedet.features.ifv import (
     GmmModel,
     dense_descriptors,
@@ -14,11 +13,12 @@ from fusedet.features.ifv import (
     pca_apply,
     pca_fit,
 )
-from fusedet.images import Image
+from fusedet.images import Image, to_grayscale
 
 
 def _gray(arr):
-    return Image.from_array(arr.astype(np.uint8))
+    """Grayscale plane of an 8-bit image."""
+    return to_grayscale(Image.from_array(arr.astype(np.uint8)))
 
 
 # ---------------------------------------------------------------- descriptors
@@ -26,38 +26,54 @@ def _gray(arr):
 
 def test_dense_descriptor_grid_counts():
     rng = np.random.default_rng(3)
-    img = _gray(rng.integers(0, 256, size=(64, 64)))
-    assert dense_descriptors(img, Box(0, 0, 32, 32), stride=16, patch=16).shape == (4, 512)
-    assert dense_descriptors(img, Box(0, 0, 48, 48), stride=8, patch=16).shape == (25, 512)
+    plane = _gray(rng.integers(0, 256, size=(64, 64)))
+    assert dense_descriptors(plane[:32, :32], stride=16, patch=16).shape == (4, 512)
+    assert dense_descriptors(plane[:48, :48], stride=8, patch=16).shape == (25, 512)
 
 
 def test_dense_descriptors_empty_when_window_smaller_than_patch():
-    img = _gray(np.zeros((32, 32)))
-    out = dense_descriptors(img, Box(0, 0, 10, 10), stride=8, patch=16)
+    plane = _gray(np.zeros((32, 32)))
+    out = dense_descriptors(plane[:10, :10], stride=8, patch=16)
     assert out.shape == (0, 512)
 
 
 def test_dense_descriptors_uniform_window_all_zero():
-    img = _gray(np.full((40, 40), 90))
-    out = dense_descriptors(img, Box(0, 0, 40, 40), stride=8, patch=16)
+    plane = _gray(np.full((40, 40), 90))
+    out = dense_descriptors(plane, stride=8, patch=16)
     assert out.shape[0] == 16
     assert np.all(out == 0.0)
 
 
 def test_dense_descriptors_rows_are_unit_norm():
     rng = np.random.default_rng(5)
-    img = _gray(rng.integers(0, 256, size=(48, 48)))
-    out = dense_descriptors(img, Box(0, 0, 48, 48), stride=16, patch=16)
+    plane = _gray(rng.integers(0, 256, size=(48, 48)))
+    out = dense_descriptors(plane, stride=16, patch=16)
     norms = np.sqrt((out**2).sum(axis=1))
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("stride", [4, 16])
+def test_dense_descriptors_on_a_plane_one_patch_wide(stride):
+    # each window row is then one contiguous block of the gradient array
+    rng = np.random.default_rng(11)
+    plane = _gray(rng.integers(0, 256, size=(40, 16)))
+    out = dense_descriptors(plane, stride=stride, patch=16)
+    gy, gx = np.gradient(plane)
+    ys = range(0, 40 - 16 + 1, stride)
+    assert out.shape == (len(ys), 512)
+    for row, y0 in zip(out, ys):
+        d = np.stack([gx[y0 : y0 + 16], gy[y0 : y0 + 16]], axis=-1).ravel()
+        assert np.array_equal(row, d / np.sqrt(d @ d))
+    stack = dense_descriptors(np.stack([plane, plane[::-1]]), stride=stride, patch=16)
+    assert np.array_equal(stack[0], out)
+
+
 def test_dense_descriptors_validate_arguments():
-    img = _gray(np.zeros((32, 32)))
+    plane = _gray(np.zeros((32, 32)))
     with pytest.raises(ValueError):
-        dense_descriptors(img, Box(0, 0, 32, 32), stride=0, patch=16)
+        dense_descriptors(plane, stride=0, patch=16)
     with pytest.raises(ValueError):
-        dense_descriptors(img, Box(0, 0, 32, 32), stride=8, patch=1)
+        dense_descriptors(plane, stride=8, patch=1)
 
 
 # ------------------------------------------------------------------------ pca
@@ -132,6 +148,17 @@ def test_pca_rank_deficiency_error_names_achievable_rank():
     X = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 6))
     with pytest.raises(ValueError, match="rank is 2"):
         pca_fit(X, 3)
+
+
+@pytest.mark.parametrize("count", [1, 2, 49])
+def test_pca_apply_stack_equals_each_set_alone(count):
+    rng = np.random.default_rng(count)
+    model = pca_fit(rng.normal(size=(600, 512)), 5)
+    stack = rng.normal(size=(8, count, 512))
+    Z = pca_apply(model, stack)
+    assert Z.shape == (8, count, 5)
+    for p in range(8):
+        assert np.array_equal(Z[p], pca_apply(model, stack[p]))
 
 
 def test_pca_apply_checks_dimension():
@@ -293,6 +320,9 @@ def test_fisher_rejects_empty_and_identically_zero():
     # symmetric +/-c points with var = c^2 zero out all three gradient blocks
     with pytest.raises(ValueError, match="identically zero"):
         fisher_encode(np.array([[2.0], [-2.0]]), gmm)
+    # in a batch every set is checked, not only the first
+    with pytest.raises(ValueError, match="identically zero"):
+        fisher_encode(np.array([[[1.0], [3.0]], [[2.0], [-2.0]]]), gmm)
 
 
 def test_fisher_checks_descriptor_dimension():

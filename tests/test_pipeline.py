@@ -1,6 +1,8 @@
 """Stage orchestration on a miniature synthetic dataset, plus the CLI."""
 
+import dataclasses
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +142,29 @@ def test_missing_artifacts_name_the_stage_to_run(tmp_path):
     stage_extract(cfg, manifest, out)
     with pytest.raises(MissingArtifact, match="run 'train-svm' first"):
         stage_detect(cfg, manifest, out)
+
+
+def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "train" / "manifest.txt"
+
+    def drop_last_record(name):
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        image_id, index = lines[-1].split()[:2]
+        return f"{path}: no vector for image {image_id} proposal {index}; rerun 'extract'"
+
+    expected = drop_last_record("cnn_train.txt")
+    assert cli.main(["train-svm", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"fusedet: error: {expected}\n"
+
+    expected = drop_last_record("cnn_images_train.txt")
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    with pytest.raises(MissingArtifact) as err:
+        pipeline.stage_train_prior(cfg, manifest, out)
+    assert str(err.value) == expected
 
 
 def test_all_writes_the_whole_artifact_graph(pipe):
