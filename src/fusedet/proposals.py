@@ -4,10 +4,16 @@ hierarchical region grouping.
 The over-segmentation merges an 8-connected pixel graph with the adaptive
 threshold criterion (two components join when the edge between them is no
 heavier than each side's internal maximum plus k/size), then folds regions
-below min_size into their nearest neighbor. Grouping then repeatedly merges
-the most similar adjacent region pair under a four-term similarity (color,
-texture, size, fill) and emits the bounding box of every region that ever
-existed.
+below min_size into their nearest neighbor. Both are sweeps over the edges in
+ascending weight order on a union-find held in plain Python lists (parent,
+size, threshold), with the edges read EDGE_SLICE at a time. The fold sweep
+visits only edges that touch a component still below min_size after the
+merge sweep: sizes only grow, so no other edge can fold. Every pixel's root
+is then found at once by pointer jumping on the parent array.
+
+Grouping then repeatedly merges the most similar adjacent region pair under
+a four-term similarity (color, texture, size, fill) and emits the bounding
+box of every region that ever existed.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .images import Image, smooth
 
 COLOR_BINS = 25
 TEXTURE_BINS = 10
+# edges are read into Python lists this many at a time during the merge sweeps
+EDGE_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -52,30 +60,6 @@ class SelectiveSearchConfig:
     max_boxes: int = 2000
 
 
-class _DisjointSet:
-    """Union-find with path halving; tracks component size and the adaptive
-    merge threshold of the over-segmentation."""
-
-    def __init__(self, n: int, k: float):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.threshold = [k] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-        return a
-
-
 def _pixel_edges(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
     """Endpoint index arrays for the 8-connected pixel graph."""
     idx = np.arange(width * height, dtype=np.int64).reshape(height, width)
@@ -88,6 +72,15 @@ def _pixel_edges(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
     a = np.concatenate([p[0].ravel() for p in pairs])
     b = np.concatenate([p[1].ravel() for p in pairs])
     return a, b
+
+
+def _flatten(parent: List[int]) -> np.ndarray:
+    """Root of every node of a union-find forest, by pointer jumping."""
+    p = np.array(parent, dtype=np.int64)
+    q = p[p]
+    while not np.array_equal(p, q):
+        p, q = q, q[q]
+    return p
 
 
 def segment_graph(img: Image, k: float, min_size: int, sigma: float) -> SegmentationMap:
@@ -115,29 +108,53 @@ def segment_graph(img: Image, k: float, min_size: int, sigma: float) -> Segmenta
     order = np.argsort(weights, kind="stable")
     ea, eb, weights = ea[order], eb[order], weights[order]
 
+    # pass 1: Kruskal sweep over plain lists with the find inlined, so no
+    # edge pays for numpy scalars or method calls. In the path-halving step
+    # `parent[a] = a = parent[parent[a]]` the targets bind left to right:
+    # parent[a] takes the grandparent first, then a moves to it.
     n = img.width * img.height
-    ds = _DisjointSet(n, k)
-    find = ds.find
-    size = ds.size
-    thr = ds.threshold
-    for i in range(len(weights)):
-        ra = find(int(ea[i]))
-        rb = find(int(eb[i]))
-        if ra == rb:
-            continue
-        w = weights[i]
-        if w <= thr[ra] and w <= thr[rb]:
-            root = ds.union(ra, rb)
-            thr[root] = w + k / size[root]
+    parent = list(range(n))
+    size = [1] * n
+    thr = [k] * n
+    for lo in range(0, len(weights), EDGE_SLICE):
+        hi = lo + EDGE_SLICE
+        for a, b, w in zip(ea[lo:hi].tolist(), eb[lo:hi].tolist(), weights[lo:hi].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
+            if w <= thr[a] and w <= thr[b]:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                thr[a] = w + k / size[a]
 
-    # fold undersized components into their nearest neighbor (edges ascend)
-    for i in range(len(weights)):
-        ra = find(int(ea[i]))
-        rb = find(int(eb[i]))
-        if ra != rb and (size[ra] < min_size or size[rb] < min_size):
-            ds.union(ra, rb)
+    # fold undersized components into their nearest neighbor (edges ascend).
+    # Sizes only grow, so an edge between two components that already reach
+    # min_size after pass 1 can never fold: visit only the others.
+    roots = _flatten(parent)
+    small = np.array(size) < min_size
+    ra, rb = roots[ea], roots[eb]
+    fold = np.flatnonzero((ra != rb) & (small[ra] | small[rb]))
+    if fold.size:
+        fa, fb = ea[fold], eb[fold]
+        for lo in range(0, len(fold), EDGE_SLICE):
+            hi = lo + EDGE_SLICE
+            for a, b in zip(fa[lo:hi].tolist(), fb[lo:hi].tolist()):
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b and (size[a] < min_size or size[b] < min_size):
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+        roots = _flatten(parent)
 
-    roots = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
     _, first_idx, labels = np.unique(roots, return_index=True, return_inverse=True)
     # np.unique orders by root index; relabel in row-major first-appearance order
     appearance_rank = np.argsort(np.argsort(first_idx, kind="stable"), kind="stable")
@@ -147,6 +164,15 @@ def segment_graph(img: Image, k: float, min_size: int, sigma: float) -> Segmenta
         height=img.height,
         labels=labels.reshape(img.height, img.width).astype(np.int32),
     )
+
+
+def _gradient(plane: np.ndarray) -> List[np.ndarray]:
+    """Central-difference gradient (d/dy, d/dx) of a plane; zero along an
+    axis of length 1, where there is no neighbor to difference."""
+    return [
+        np.gradient(plane, axis=axis) if plane.shape[axis] > 1 else np.zeros_like(plane)
+        for axis in (0, 1)
+    ]
 
 
 def region_descriptors(img: Image, seg: SegmentationMap) -> List[Region]:
@@ -171,7 +197,7 @@ def region_descriptors(img: Image, seg: SegmentationMap) -> List[Region]:
     texture_hist = np.zeros((n_regions, c * TEXTURE_BINS))
     for ch in range(c):
         plane = img.pixels[:, :, ch].astype(np.float64)
-        gy, gx = np.gradient(plane)
+        gy, gx = _gradient(plane)
         theta = np.arctan2(gy, gx)  # [-pi, pi]
         tbin = np.minimum(
             ((theta + np.pi) / (2 * np.pi) * TEXTURE_BINS).astype(np.int64),

@@ -4,9 +4,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet.core import Box
-from fusedet.images import Image
+from fusedet.images import Image, read_pnm, smooth
 from fusedet.proposals import (
     COLOR_BINS,
     TEXTURE_BINS,
@@ -19,6 +21,7 @@ from fusedet.proposals import (
     selective_search,
     similarity,
 )
+from fusedet.synth import SynthSpec, generate_dataset
 
 # with this sigma the smoothing kernel degenerates to identity, so sharp
 # synthetic color steps stay sharp
@@ -95,6 +98,128 @@ def test_segment_labels_form_contiguous_partition_and_are_deterministic():
     assert seg1.labels.shape == (20, 28)
     ids = np.unique(seg1.labels)
     assert ids[0] == 0 and ids[-1] == len(ids) - 1
+
+
+# ----------------------------------------------- over-segmentation oracle
+
+
+class _DisjointSet:
+    """Union-find with path halving; tracks component size and the adaptive
+    merge threshold of the over-segmentation."""
+
+    def __init__(self, n: int, k: float):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.threshold = [k] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        if self.size[a] < self.size[b]:
+            a, b = b, a
+        self.parent[b] = a
+        self.size[a] += self.size[b]
+        return a
+
+
+def _oracle_segment_labels(img: Image, k: float, min_size: int, sigma: float) -> np.ndarray:
+    """The plain edge-by-edge Felzenszwalb-Huttenlocher loop: every edge is
+    visited in both the merge and the fold sweep, and every pixel's root is
+    found one at a time."""
+    smoothed = np.stack(
+        [smooth(img.pixels[:, :, c].astype(np.float64), sigma) for c in range(img.channels)],
+        axis=-1,
+    )
+    flat = smoothed.reshape(-1, img.channels)
+    idx = np.arange(img.width * img.height, dtype=np.int64).reshape(img.height, img.width)
+    pairs = [
+        (idx[:, :-1], idx[:, 1:]),
+        (idx[:-1, :], idx[1:, :]),
+        (idx[:-1, :-1], idx[1:, 1:]),
+        (idx[:-1, 1:], idx[1:, :-1]),
+    ]
+    ea = np.concatenate([p[0].ravel() for p in pairs])
+    eb = np.concatenate([p[1].ravel() for p in pairs])
+    weights = np.sqrt(((flat[ea] - flat[eb]) ** 2).sum(axis=1))
+    order = np.argsort(weights, kind="stable")
+    ea, eb, weights = ea[order], eb[order], weights[order]
+
+    n = img.width * img.height
+    ds = _DisjointSet(n, k)
+    find = ds.find
+    size = ds.size
+    thr = ds.threshold
+    for i in range(len(weights)):
+        ra = find(int(ea[i]))
+        rb = find(int(eb[i]))
+        if ra == rb:
+            continue
+        w = weights[i]
+        if w <= thr[ra] and w <= thr[rb]:
+            root = ds.union(ra, rb)
+            thr[root] = w + k / size[root]
+    for i in range(len(weights)):
+        ra = find(int(ea[i]))
+        rb = find(int(eb[i]))
+        if ra != rb and (size[ra] < min_size or size[rb] < min_size):
+            ds.union(ra, rb)
+
+    roots = np.fromiter((find(i) for i in range(n)), dtype=np.int64, count=n)
+    _, first_idx, labels = np.unique(roots, return_index=True, return_inverse=True)
+    appearance_rank = np.argsort(np.argsort(first_idx, kind="stable"), kind="stable")
+    return appearance_rank[labels].reshape(img.height, img.width).astype(np.int32)
+
+
+def _assert_segmentation_matches_oracle(img, k, min_size, sigma):
+    got = segment_graph(img, k, min_size, sigma).labels
+    expect = _oracle_segment_labels(img, k, min_size, sigma)
+    assert got.dtype == np.int32
+    assert got.shape == expect.shape == (img.height, img.width)
+    assert np.array_equal(got, expect)
+
+
+@st.composite
+def _small_images(draw):
+    """Random, constant (every edge weight ties) and two-level uint8 images,
+    1-24 px per side, gray or RGB."""
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    c = draw(st.sampled_from([1, 3]))
+    kind = draw(st.sampled_from(["random", "constant", "two_level"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        arr = np.full((h, w, c), draw(st.integers(0, 255)), dtype=np.uint8)
+    elif kind == "two_level":
+        levels = np.array([draw(st.integers(0, 255)), draw(st.integers(0, 255))], dtype=np.uint8)
+        mask = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+        arr = np.repeat(levels[mask.astype(np.int64)][:, :, None], c, axis=2)
+    else:
+        arr = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
+    return Image.from_array(arr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_segment_labels_equal_the_edge_by_edge_oracle(data):
+    img = data.draw(_small_images())
+    k = data.draw(st.floats(0.5, 1000.0))
+    # from no folding at all up to folding everything into one region
+    min_size = data.draw(st.integers(1, img.width * img.height + 8))
+    sigma = data.draw(st.sampled_from([SHARP, 0.8, 2.0]))
+    _assert_segmentation_matches_oracle(img, k, min_size, sigma)
+
+
+@pytest.mark.parametrize("k, min_size", [(300.0, 50), (20.0, 5)])  # default, dense
+def test_segment_labels_equal_the_oracle_on_a_synth_image(tmp_path, k, min_size):
+    manifest = generate_dataset(tmp_path, SynthSpec(n_images=1, image_size=96), seed=3)
+    img = read_pnm(manifest.resolved_path(manifest.images[0]))
+    assert (img.width, img.height) == (96, 96)
+    _assert_segmentation_matches_oracle(img, k, min_size, 0.8)
 
 
 def test_segment_rejects_bad_parameters():
@@ -271,3 +396,21 @@ def test_selective_search_respects_max_boxes():
     img = Image.from_array(rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8))
     boxes = selective_search(img, SelectiveSearchConfig(k=30.0, min_size=2, max_boxes=3))
     assert len(boxes) == 3
+
+
+@pytest.mark.parametrize("shape", [(1, 20, 3), (20, 1, 3), (1, 1, 3)])
+def test_selective_search_on_one_pixel_wide_or_tall_images(shape):
+    rng = np.random.default_rng(71)
+    img = Image.from_array(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    cfg = SelectiveSearchConfig(k=1.0, sigma=SHARP, min_size=1)
+    regions = region_descriptors(img, segment_graph(img, cfg.k, cfg.min_size, cfg.sigma))
+    for r in regions:
+        assert r.texture_hist.sum() == pytest.approx(1.0, abs=1e-12)
+    if shape[:2] == (1, 1):
+        # no neighbor on either axis: the gradient is zero, and arctan2(0, 0)
+        # = 0 puts all texture mass in the middle bin
+        assert regions[0].texture_hist[TEXTURE_BINS // 2 :: TEXTURE_BINS].sum() == 1.0
+    boxes = selective_search(img, cfg)
+    assert boxes[0] == Box(0, 0, shape[1], shape[0])
+    for b in boxes:
+        assert 0 <= b.x_min < b.x_max <= shape[1] and 0 <= b.y_min < b.y_max <= shape[0]
