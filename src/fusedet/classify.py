@@ -1,15 +1,18 @@
-"""Per-category linear SVM banks, score fusion, and the stacked fusion model.
+"""Linear SVM training, the linear bank every learned layer uses, and fusion.
 
 Each feature channel gets one bank of N one-vs-rest classifiers. The three
 N-score vectors are concatenated (cnn, hog, ifv) into a 3N-dim vector and a
 second bank of N one-vs-rest classifiers is trained on those, after
-per-dimension standardization whose constants travel with the model.
+per-dimension standardization whose constants travel with the model. The
+channel banks, this fusion bank and the presence prior of `context` are all
+one `LinearBank`: one model file layout, one validator and one scorer,
+`LinearBank.scores`, which detect runs and the tests check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,12 +33,6 @@ class LinearModel:
             raise ValueError("weights must be a 1-d vector")
         if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
             raise ValueError("model has non-finite entries")
-
-    def score(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.weights.shape:
-            raise ValueError(f"feature dim {x.shape} does not match model {self.weights.shape}")
-        return float(self.weights @ x + self.bias)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -127,22 +124,57 @@ def train_svm(
     return best
 
 
-@dataclass
-class SvmBank:
-    """One-vs-rest models for every category on a single feature channel."""
+_OPTIONAL = ("feature_means", "feature_scales", "thresholds")
 
-    channel: str
+
+@dataclass
+class LinearBank:
+    """N linear scorers over one d-dim feature, one per category.
+
+    A channel's one-vs-rest SVMs are a bank; the fusion bank also
+    standardizes its input with feature_means and feature_scales, and the
+    presence prior also carries one gate threshold per category (-inf
+    disables the gate).
+    """
+
     category_ids: List[int]
-    weights: np.ndarray  # (N, dim)
+    weights: np.ndarray  # (N, d)
     biases: np.ndarray  # (N,)
+    feature_means: Optional[np.ndarray] = None  # (d,)
+    feature_scales: Optional[np.ndarray] = None  # (d,), strictly positive
+    thresholds: Optional[np.ndarray] = None  # (N,), finite or -inf
 
     def __post_init__(self):
+        self.category_ids = [int(c) for c in self.category_ids]
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[0] != len(self.category_ids):
+        n = len(self.category_ids)
+        if self.weights.ndim != 2 or self.weights.shape[0] != n:
             raise ValueError("one weight row per category required")
-        if self.biases.shape != (len(self.category_ids),):
+        if self.biases.shape != (n,):
             raise ValueError("one bias per category required")
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
+            raise ValueError("weights and biases must be finite")
+        if (self.feature_means is None) != (self.feature_scales is None):
+            raise ValueError("standardization needs both means and scales")
+        if self.feature_means is not None:
+            self.feature_means = np.asarray(self.feature_means, dtype=np.float64)
+            self.feature_scales = np.asarray(self.feature_scales, dtype=np.float64)
+            if self.feature_means.shape != (self.dim,) or self.feature_scales.shape != (self.dim,):
+                raise ValueError(
+                    f"standardization needs {self.dim} means and scales, got "
+                    f"{self.feature_means.shape} and {self.feature_scales.shape}"
+                )
+            if not np.all(np.isfinite(self.feature_means)):
+                raise ValueError("standardization means must be finite")
+            if not np.all(self.feature_scales > 0):
+                raise ValueError("standardization scales must be positive")
+        if self.thresholds is not None:
+            self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
+            if self.thresholds.shape != (n,):
+                raise ValueError("one threshold per category required")
+            if np.any(np.isnan(self.thresholds)) or np.any(self.thresholds == np.inf):
+                raise ValueError("thresholds must be finite or -inf")
 
     @property
     def n_categories(self) -> int:
@@ -153,51 +185,56 @@ class SvmBank:
         return self.weights.shape[1]
 
     @classmethod
-    def from_models(cls, channel: str, models: Dict[int, LinearModel]) -> "SvmBank":
+    def from_models(cls, models: Dict[int, LinearModel]) -> "LinearBank":
         ids = sorted(models)
         dims = {models[i].weights.shape[0] for i in ids}
         if len(dims) != 1:
             raise ValueError(f"models disagree on feature dim: {sorted(dims)}")
         return cls(
-            channel=channel,
             category_ids=ids,
             weights=np.stack([models[i].weights for i in ids]),
             biases=np.array([models[i].bias for i in ids]),
         )
 
-    def model(self, category_id: int) -> LinearModel:
-        row = self.category_ids.index(category_id)
-        return LinearModel(weights=self.weights[row].copy(), bias=float(self.biases[row]))
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """(m, N) scores of the m rows of X, in float64:
+        ((X - means) / scales) @ weights.T + biases, standardized only when
+        the bank has means and scales.
+
+        A row's score can differ in the last bits with the number of rows
+        scored together, so every caller keeps one grouping of its rows.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"feature matrix {X.shape} does not match bank dim {self.dim}")
+        if self.feature_means is not None:
+            X = (X - self.feature_means) / self.feature_scales
+        return X @ self.weights.T + self.biases
 
     def save(self, path) -> None:
-        modelio.write_model(
-            path,
-            "svm-bank",
-            {"channel": self.channel, "n": str(self.n_categories), "dim": str(self.dim)},
-            {
-                "category_ids": np.asarray(self.category_ids, dtype=np.float64)[None, :],
-                "weights": self.weights,
-                "biases": self.biases[None, :],
-            },
-        )
+        arrays = {
+            "category_ids": np.asarray(self.category_ids, dtype=np.float64)[None, :],
+            "weights": self.weights,
+            "biases": self.biases[None, :],
+        }
+        for name in _OPTIONAL:
+            if getattr(self, name) is not None:
+                arrays[name] = getattr(self, name)[None, :]
+        modelio.write_model(path, "linear-bank", {}, arrays)
 
     @classmethod
-    def load(cls, path) -> "SvmBank":
-        meta, arrays = modelio.read_model(path, "svm-bank")
-        return cls(
-            channel=meta.get("channel", ""),
-            category_ids=[int(v) for v in arrays["category_ids"][0]],
-            weights=arrays["weights"],
-            biases=arrays["biases"][0],
-        )
-
-
-def score_bank(feature: np.ndarray, bank: SvmBank) -> np.ndarray:
-    """Scores of one feature vector under every model in the bank."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != bank.dim:
-        raise ValueError(f"feature dim {x.shape} does not match bank dim {bank.dim}")
-    return bank.weights @ x + bank.biases
+    def load(cls, path) -> "LinearBank":
+        """The bank saved at path; ValueError naming the file if it holds none."""
+        _, arrays = modelio.read_model(path, "linear-bank")
+        try:
+            return cls(
+                category_ids=arrays["category_ids"][0],
+                weights=arrays["weights"],
+                biases=arrays["biases"][0],
+                **{name: arrays[name][0] for name in _OPTIONAL if name in arrays},
+            )
+        except (KeyError, IndexError, OverflowError, ValueError) as exc:
+            raise ValueError(f"{path}: not a valid linear bank: {exc}") from None
 
 
 def fuse_scores(cnn: np.ndarray, hog: np.ndarray, ifv: np.ndarray) -> np.ndarray:
@@ -217,60 +254,6 @@ def mine_hard_negatives(model: LinearModel, negatives: np.ndarray, count: int) -
     return order[: max(0, count)]
 
 
-@dataclass
-class FusionModel:
-    """Stacked one-vs-rest classifiers over standardized 3N score vectors."""
-
-    category_ids: List[int]
-    weights: np.ndarray  # (N, 3N)
-    biases: np.ndarray  # (N,)
-    feature_means: np.ndarray  # (3N,)
-    feature_scales: np.ndarray  # (3N,), strictly positive
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        self.feature_means = np.asarray(self.feature_means, dtype=np.float64)
-        self.feature_scales = np.asarray(self.feature_scales, dtype=np.float64)
-        n = len(self.category_ids)
-        if self.weights.shape != (n, 3 * n):
-            raise ValueError(f"fusion weights must be (N, 3N), got {self.weights.shape}")
-        if np.any(self.feature_scales <= 0):
-            raise ValueError("standardization scales must be positive")
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.category_ids)
-
-    def standardize(self, fused: np.ndarray) -> np.ndarray:
-        return (np.asarray(fused, dtype=np.float64) - self.feature_means) / self.feature_scales
-
-    def save(self, path) -> None:
-        modelio.write_model(
-            path,
-            "fusion",
-            {"n": str(self.n_categories)},
-            {
-                "category_ids": np.asarray(self.category_ids, dtype=np.float64)[None, :],
-                "weights": self.weights,
-                "biases": self.biases[None, :],
-                "feature_means": self.feature_means[None, :],
-                "feature_scales": self.feature_scales[None, :],
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "FusionModel":
-        _, arrays = modelio.read_model(path, "fusion")
-        return cls(
-            category_ids=[int(v) for v in arrays["category_ids"][0]],
-            weights=arrays["weights"],
-            biases=arrays["biases"][0],
-            feature_means=arrays["feature_means"][0],
-            feature_scales=arrays["feature_scales"][0],
-        )
-
-
 def train_fusion(
     fused_vectors: np.ndarray,
     category_labels: Sequence[int],
@@ -278,7 +261,7 @@ def train_fusion(
     epochs: int,
     seed: int,
     category_ids: Sequence[int] = None,
-) -> FusionModel:
+) -> LinearBank:
     """One train_svm per category on standardized fused score vectors.
 
     Labels are positions into category_ids (defaults to 0..N-1 with N read
@@ -316,28 +299,10 @@ def train_fusion(
             raise ValueError(f"category {category_ids[pos]}: {exc}") from None
         weights[pos] = model.weights
         biases[pos] = model.bias
-    return FusionModel(
+    return LinearBank(
         category_ids=list(category_ids),
         weights=weights,
         biases=biases,
         feature_means=means,
         feature_scales=scales,
     )
-
-
-def final_score(fused: np.ndarray, fusion: FusionModel, category: int) -> float:
-    """Detection score of one category; this value enters NMS and gating."""
-    if not 0 <= category < fusion.n_categories:
-        raise ValueError(f"category index {category} out of range [0, {fusion.n_categories})")
-    v = np.asarray(fused, dtype=np.float64)
-    if v.shape != (3 * fusion.n_categories,):
-        raise ValueError(f"fused vector has shape {v.shape}, expected ({3 * fusion.n_categories},)")
-    return float(fusion.weights[category] @ fusion.standardize(v) + fusion.biases[category])
-
-
-def final_scores(fused: np.ndarray, fusion: FusionModel) -> np.ndarray:
-    """All-category scores in category_ids order."""
-    v = np.asarray(fused, dtype=np.float64)
-    if v.shape != (3 * fusion.n_categories,):
-        raise ValueError(f"fused vector has shape {v.shape}, expected ({3 * fusion.n_categories},)")
-    return fusion.weights @ fusion.standardize(v) + fusion.biases

@@ -1,78 +1,28 @@
 """Whole-image presence prior and detection gating.
 
-A bank of one-vs-rest linear classifiers predicts which categories appear
-anywhere in an image; detections of a category whose presence score falls
-below that category's threshold are removed (never re-scored). A threshold
-of -inf disables a gate so it always passes.
+The prior is a `classify.LinearBank` of one-vs-rest linear classifiers that
+predicts which categories appear anywhere in an image, with one gate
+threshold per category; `PresencePrior` is another name for that class.
+Detections of a category whose presence score falls below that category's
+threshold are removed (never re-scored). A threshold of -inf disables a gate
+so it always passes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Set
 
 import numpy as np
 
-from . import modelio
-from .classify import train_svm
+from .classify import LinearBank, train_svm
 from .core import Detection
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class PresencePrior:
-    category_ids: List[int]
-    weights: np.ndarray  # (N, dim)
-    biases: np.ndarray  # (N,)
-    thresholds: np.ndarray  # (N,), -inf disables the gate
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        n = len(self.category_ids)
-        if self.weights.ndim != 2 or self.weights.shape[0] != n:
-            raise ValueError("one weight row per category required")
-        if self.biases.shape != (n,) or self.thresholds.shape != (n,):
-            raise ValueError("one bias and one threshold per category required")
-        if np.any(np.isnan(self.thresholds)) or np.any(self.thresholds == np.inf):
-            raise ValueError("thresholds must be finite or -inf")
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.category_ids)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    def save(self, path) -> None:
-        modelio.write_model(
-            path,
-            "presence-prior",
-            {"n": str(self.n_categories), "dim": str(self.dim)},
-            {
-                "category_ids": np.asarray(self.category_ids, dtype=np.float64).reshape(1, -1),
-                "weights": self.weights.reshape(self.n_categories, -1),
-                "biases": self.biases.reshape(1, -1),
-                "thresholds": self.thresholds.reshape(1, -1),
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "PresencePrior":
-        meta, arrays = modelio.read_model(path, "presence-prior")
-        n = int(meta["n"])
-        dim = int(meta["dim"])
-        return cls(
-            category_ids=[int(v) for v in arrays["category_ids"].ravel()[:n]],
-            weights=arrays["weights"].reshape(n, dim),
-            biases=arrays["biases"].ravel()[:n],
-            thresholds=arrays["thresholds"].ravel()[:n],
-        )
+PresencePrior = LinearBank
 
 
 def train_presence_prior(
@@ -83,7 +33,7 @@ def train_presence_prior(
     lambda_: float,
     epochs: int,
     seed: int,
-) -> PresencePrior:
+) -> LinearBank:
     """One-vs-rest presence classifiers over a whole-image feature.
 
     Examples are sorted by image_id before training so the model does not
@@ -118,7 +68,7 @@ def train_presence_prior(
         model = train_svm(X, y, lambda_, epochs, seed)
         weights[cid] = model.weights
         biases[cid] = model.bias
-    return PresencePrior(
+    return LinearBank(
         category_ids=list(range(n_categories)),
         weights=weights,
         biases=biases,
@@ -126,14 +76,10 @@ def train_presence_prior(
     )
 
 
-def presence_scores(image_feature: np.ndarray, prior: PresencePrior) -> np.ndarray:
-    """Raw margins w_i . x + b_i for every category."""
-    x = np.asarray(image_feature, dtype=np.float64)
-    if prior.n_categories == 0:
-        return np.zeros(0)
-    if x.shape != (prior.dim,):
-        raise ValueError(f"feature has shape {x.shape}, expected ({prior.dim},)")
-    return prior.weights @ x + prior.biases
+def presence_scores(image_feature: np.ndarray, prior: LinearBank) -> np.ndarray:
+    """Raw margins w_i . x + b_i of one image's feature for every category,
+    scored as a batch of one row."""
+    return prior.scores(np.asarray(image_feature, dtype=np.float64)[None, :])[0]
 
 
 def select_thresholds(

@@ -11,24 +11,18 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cache, modelio
-from .classify import (
-    FusionModel,
-    SvmBank,
-    mine_hard_negatives,
-    train_fusion,
-    train_svm,
-)
+from .classify import LinearBank, mine_hard_negatives, train_fusion, train_svm
 from .config import PipelineConfig, config_digest
 from .context import (
-    PresencePrior,
     filter_detections,
     presence_scores,
     select_thresholds,
@@ -365,8 +359,26 @@ def _cnn_rows(path: Path, keys: Sequence[Tuple[str, int]]) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, table.dim))
 
 
-def _load_channel_matrices(cfg, man, out_dir, tag):
-    """Per-proposal feature matrices for all three channels, plus row index."""
+class _StageInputs(NamedTuple):
+    """What train-svm, train-fusion, train-regressor and detect read: the
+    manifest, its proposals, the features archive, and the per-proposal
+    matrix of every channel with the image and proposal index of each row."""
+
+    tag: str
+    out_dir: Path
+    man: DatasetManifest
+    props: Dict[str, List[Box]]
+    feats: Dict[str, np.ndarray]
+    channels: Dict[str, np.ndarray]
+    row_image: np.ndarray
+    row_proposal: np.ndarray
+
+
+def _stage_inputs(manifest_path, out_dir, tag: Optional[str]) -> _StageInputs:
+    tag = tag_for(manifest_path, tag)
+    out_dir = Path(out_dir)
+    man = read_manifest(manifest_path)
+    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
     feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
     row_image = feats["row_image"]
     row_proposal = feats["row_proposal"]
@@ -374,18 +386,16 @@ def _load_channel_matrices(cfg, man, out_dir, tag):
         cnn_path(out_dir, tag),
         [(man.images[i].image_id, int(p)) for i, p in zip(row_image, row_proposal)],
     )
-    return {
-        "cnn": cnn,
-        "hog": feats["hog"],
-        "ifv": feats["ifv"],
-    }, row_image, row_proposal, feats
+    channels = {"cnn": cnn, "hog": feats["hog"], "ifv": feats["ifv"]}
+    return _StageInputs(tag, out_dir, man, props, feats, channels, row_image, row_proposal)
 
 
-def _label_rows(cfg, man, props, row_image, row_proposal):
+def _label_rows(cfg, data: _StageInputs):
     """Training label per feature row: category id, -1 background, -2 ignored.
 
     Also returns, per row, the best-IoU ground truth (or None) for the box.
     """
+    man, props, row_image, row_proposal = data.man, data.props, data.row_image, data.row_proposal
     n = len(row_image)
     labels = np.full(n, -1, dtype=np.int64)
     best_gts: List[Optional[GroundTruth]] = [None] * n
@@ -411,16 +421,13 @@ def _label_rows(cfg, man, props, row_image, row_proposal):
 
 
 def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None):
-    tag = tag_for(manifest_path, tag)
-    out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-    channels, row_image, row_proposal, _ = _load_channel_matrices(cfg, man, out_dir, tag)
-    labels, _, _ = _label_rows(cfg, man, props, row_image, row_proposal)
+    data = _stage_inputs(manifest_path, out_dir, tag)
+    man = data.man
+    labels, _, _ = _label_rows(cfg, data)
 
     paths = []
     for channel in CHANNELS:
-        X_all = channels[channel]
+        X_all = data.channels[channel]
         models = {}
         for cid in range(man.n_categories):
             pos = np.nonzero(labels == cid)[0]
@@ -451,37 +458,50 @@ def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[s
                     X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, "svm-hard", channel, cid)
                 )
             models[cid] = model
-        bank = SvmBank.from_models(channel, models)
-        path = bank_path(out_dir, channel)
-        bank.save(path)
+        path = bank_path(data.out_dir, channel)
+        LinearBank.from_models(models).save(path)
         paths.append(path)
-    _run_log(out_dir, "train-svm", tag, cfg, {"categories": man.n_categories, "rows": len(labels)})
+    _run_log(data.out_dir, "train-svm", data.tag, cfg, {"categories": man.n_categories, "rows": len(labels)})
     return paths
 
 
-def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, SvmBank]) -> np.ndarray:
+def _load_bank(path: Path, stage: str, dim: int, n_categories: int) -> LinearBank:
+    """The bank that stage saved at path, checked against the data it is to
+    score: dim-wide feature rows of categories 0..n_categories-1. A missing,
+    malformed or stale file raises MissingArtifact naming the stage to rerun."""
+    try:
+        bank = LinearBank.load(_require(path, stage))
+    except ValueError as exc:
+        raise MissingArtifact(f"{exc}; rerun '{stage}'") from None
+    if bank.dim != dim:
+        raise MissingArtifact(
+            f"{path}: model scores {bank.dim}-wide features but the data has {dim}; rerun '{stage}'"
+        )
+    if bank.category_ids != list(range(n_categories)):
+        raise MissingArtifact(
+            f"{path}: model categories {bank.category_ids} are not the manifest's "
+            f"0..{n_categories - 1}; rerun '{stage}'"
+        )
+    return bank
+
+
+def _load_banks(data: _StageInputs) -> Dict[str, LinearBank]:
+    n_cat = data.man.n_categories
+    return {
+        ch: _load_bank(bank_path(data.out_dir, ch), "train-svm", data.channels[ch].shape[1], n_cat)
+        for ch in CHANNELS
+    }
+
+
+def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, LinearBank]) -> np.ndarray:
     """Fused (cnn, hog, ifv) score matrix for every feature row."""
-    parts = []
-    for channel in CHANNELS:
-        bank = banks[channel]
-        parts.append(channels[channel].astype(np.float64) @ bank.weights.T + bank.biases)
-    return np.concatenate(parts, axis=1)
-
-
-def _load_banks(out_dir) -> Dict[str, SvmBank]:
-    return {ch: SvmBank.load(_require(bank_path(out_dir, ch), "train-svm")) for ch in CHANNELS}
+    return np.concatenate([banks[ch].scores(channels[ch]) for ch in CHANNELS], axis=1)
 
 
 def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
-    tag = tag_for(manifest_path, tag)
-    out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-    channels, row_image, row_proposal, _ = _load_channel_matrices(cfg, man, out_dir, tag)
-    labels, _, _ = _label_rows(cfg, man, props, row_image, row_proposal)
-    banks = _load_banks(out_dir)
-
-    fused = _bank_scores(channels, banks)
+    data = _stage_inputs(manifest_path, out_dir, tag)
+    labels, _, _ = _label_rows(cfg, data)
+    fused = _bank_scores(data.channels, _load_banks(data))
     keep = labels != -2
     fusion = train_fusion(
         fused[keep],
@@ -489,24 +509,20 @@ def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optiona
         cfg.fusion_lambda,
         cfg.fusion_epochs,
         derive_seed(cfg.seed, "fusion"),
-        category_ids=list(range(man.n_categories)),
+        category_ids=list(range(data.man.n_categories)),
     )
-    path = fusion_path(out_dir)
+    path = fusion_path(data.out_dir)
     fusion.save(path)
-    _run_log(out_dir, "train-fusion", tag, cfg, {"rows": int(keep.sum())})
+    _run_log(data.out_dir, "train-fusion", data.tag, cfg, {"rows": int(keep.sum())})
     return path
 
 
 def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
-    tag = tag_for(manifest_path, tag)
-    out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-    channels, row_image, row_proposal, _ = _load_channel_matrices(cfg, man, out_dir, tag)
-    _, best_gts, boxes_per_row = _label_rows(cfg, man, props, row_image, row_proposal)
+    data = _stage_inputs(manifest_path, out_dir, tag)
+    _, best_gts, boxes_per_row = _label_rows(cfg, data)
 
     rows = [r for r, gt in enumerate(best_gts) if gt is not None]
-    X = channels[cfg.regress_channel][rows].astype(np.float64)
+    X = data.channels[cfg.regress_channel][rows].astype(np.float64)
     regressor = train_bbox_regressor(
         X,
         [boxes_per_row[r] for r in rows],
@@ -514,21 +530,24 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
         cfg.regress_lambda,
         cfg.regress_match_iou,
     )
-    path = regressor_path(out_dir)
+    path = regressor_path(data.out_dir)
     regressor.save(path)
     _run_log(
-        out_dir,
+        data.out_dir,
         "train-regressor",
-        tag,
+        data.tag,
         cfg,
         {"pairs": len(rows), "trained_categories": len(regressor.coefficients)},
     )
     return path
 
 
-def _prior_features(cfg, man, out_dir, tag) -> np.ndarray:
+def _prior_features(cfg, man, out_dir, tag, feats=None) -> np.ndarray:
+    """Whole-image prior feature of every image, in manifest order; feats is
+    the features archive of tag when the caller has already read it."""
     if cfg.prior_feature == "ifv":
-        feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
+        if feats is None:
+            feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
         return feats["prior_ifv"].astype(np.float64)
     return _cnn_rows(cnn_images_path(out_dir, tag), [(im.image_id, 0) for im in man.images])
 
@@ -574,7 +593,7 @@ def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional
         present = sum(1 for i in train_idx if cid in label_sets[i])
         if present == 0 or present == len(train_idx):
             tau[cid] = -np.inf
-    prior.thresholds = np.asarray(tau, dtype=np.float64)
+    prior = dataclasses.replace(prior, thresholds=tau)
     path = prior_path(out_dir)
     prior.save(path)
     _run_log(out_dir, "train-prior", tag, cfg, {"train_images": len(train_idx), "held_out": len(held_idx)})
@@ -590,22 +609,19 @@ def stage_detect(
 ) -> Path:
     if channel not in ("fused",) + CHANNELS:
         raise ValueError(f"unknown detect channel {channel!r}")
-    tag = tag_for(manifest_path, tag)
-    out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-    channels, row_image, row_proposal, feats = _load_channel_matrices(cfg, man, out_dir, tag)
-    banks = _load_banks(out_dir)
-    fusion = FusionModel.load(_require(fusion_path(out_dir), "train-fusion")) if channel == "fused" else None
-    regressor = BoxRegressor.load(_require(regressor_path(out_dir), "train-regressor"))
-    prior = PresencePrior.load(_require(prior_path(out_dir), "train-prior"))
-    prior_feats = _prior_features(cfg, man, out_dir, tag)
+    data = _stage_inputs(manifest_path, out_dir, tag)
+    man, out_dir = data.man, data.out_dir
     n_cat = man.n_categories
+    banks = _load_banks(data)
+    fusion = _load_bank(fusion_path(out_dir), "train-fusion", 3 * n_cat, n_cat) if channel == "fused" else None
+    regressor = BoxRegressor.load(_require(regressor_path(out_dir), "train-regressor"))
+    prior_feats = _prior_features(cfg, man, out_dir, data.tag, data.feats)
+    prior = _load_bank(prior_path(out_dir), "train-prior", prior_feats.shape[1], n_cat)
 
     results: List[Detection] = []
     for i, im in enumerate(man.images):
-        rows = np.nonzero(row_image == i)[0]
-        boxes = props[im.image_id]
+        rows = np.nonzero(data.row_image == i)[0]
+        boxes = data.props[im.image_id]
         if len(rows) != len(boxes):
             raise MissingArtifact(
                 f"feature rows for image {im.image_id} disagree with its proposals; rerun 'extract'"
@@ -613,14 +629,11 @@ def stage_detect(
         if not boxes:
             continue
         img = read_pnm(man.resolved_path(im))
-        per_channel = {ch: channels[ch][rows] for ch in CHANNELS}
+        per_channel = {ch: data.channels[ch][rows] for ch in CHANNELS}
         if channel == "fused":
-            fused = _bank_scores(per_channel, banks)
-            z = (fused - fusion.feature_means) / fusion.feature_scales
-            final = z @ fusion.weights.T + fusion.biases
+            final = fusion.scores(_bank_scores(per_channel, banks))
         else:
-            bank = banks[channel]
-            final = per_channel[channel].astype(np.float64) @ bank.weights.T + bank.biases
+            final = banks[channel].scores(per_channel[channel])
 
         X_reg = per_channel[cfg.regress_channel].astype(np.float64)
         presence = presence_scores(prior_feats[i], prior)
@@ -634,10 +647,10 @@ def stage_detect(
             dets = filter_detections(dets, presence, prior.thresholds)
             results.extend(dets)
 
-    path = detections_path(out_dir, tag, channel)
+    path = detections_path(out_dir, data.tag, channel)
     with open(path, "w") as fh:
         write_detections(results, fh)
-    _run_log(out_dir, f"detect-{channel}", tag, cfg, {"detections": len(results)})
+    _run_log(out_dir, f"detect-{channel}", data.tag, cfg, {"detections": len(results)})
     return path
 
 

@@ -1,21 +1,22 @@
-"""Linear SVM training, score banks, fusion vectors, and the stacked model."""
+"""Linear SVM training, linear banks, fusion vectors, and the stacked model."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet.classify import (
-    FusionModel,
+    LinearBank,
     LinearModel,
-    SvmBank,
-    final_score,
-    final_scores,
     fuse_scores,
     mine_hard_negatives,
-    score_bank,
     svm_objective,
     train_svm,
     train_fusion,
 )
+from fusedet.modelio import write_model
 
 
 def _blobs(rng, n_per, dim, center, spread):
@@ -118,9 +119,10 @@ def test_linear_model_validation_and_scoring():
     with pytest.raises(ValueError, match="non-finite"):
         LinearModel(weights=np.array([np.nan]), bias=0.0)
     m = LinearModel(weights=np.array([2.0, -1.0]), bias=0.25)
-    assert m.score(np.array([3.0, 1.0])) == 5.25
+    bank = LinearBank.from_models({0: m})
+    assert np.array_equal(bank.scores(np.array([[3.0, 1.0]])), [[5.25]])
     with pytest.raises(ValueError, match="does not match"):
-        m.score(np.zeros(3))
+        bank.scores(np.zeros((1, 3)))
     with pytest.raises(ValueError, match="does not match"):
         m.scores(np.zeros((4, 3)))
 
@@ -129,8 +131,7 @@ def test_linear_model_validation_and_scoring():
 
 
 def _toy_bank():
-    return SvmBank(
-        channel="hog",
+    return LinearBank(
         category_ids=[0, 1],
         weights=np.array([[1.0, 0.0], [0.0, 2.0]]),
         biases=np.array([0.5, -1.0]),
@@ -138,8 +139,8 @@ def _toy_bank():
 
 
 def test_score_bank_hand_values():
-    got = score_bank(np.array([3.0, 4.0]), _toy_bank())
-    assert np.array_equal(got, [3.5, 7.0])
+    got = _toy_bank().scores(np.array([[3.0, 4.0]]))
+    assert np.array_equal(got, [[3.5, 7.0]])
 
 
 def test_score_bank_matches_per_model_loop():
@@ -147,30 +148,31 @@ def test_score_bank_matches_per_model_loop():
     for _ in range(20):
         n_cat = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 6))
-        bank = SvmBank(
-            channel="x",
+        bank = LinearBank(
             category_ids=list(range(n_cat)),
             weights=rng.normal(size=(n_cat, dim)),
             biases=rng.normal(size=n_cat),
         )
-        x = rng.normal(size=dim)
-        expect = [float(bank.weights[i] @ x) + bank.biases[i] for i in range(n_cat)]
-        assert np.allclose(score_bank(x, bank), expect, atol=1e-12)
+        X = rng.normal(size=(int(rng.integers(1, 4)), dim))
+        expect = [[float(bank.weights[i] @ x) + bank.biases[i] for i in range(n_cat)] for x in X]
+        assert np.allclose(bank.scores(X), expect, atol=1e-12)
 
 
 def test_score_bank_is_affine():
     rng = np.random.default_rng(17)
     bank = _toy_bank()
-    a = rng.normal(size=2)
-    b = rng.normal(size=2)
-    lhs = score_bank(a + b, bank) + bank.biases
-    rhs = score_bank(a, bank) + score_bank(b, bank)
+    a = rng.normal(size=(1, 2))
+    b = rng.normal(size=(1, 2))
+    lhs = bank.scores(a + b) + bank.biases
+    rhs = bank.scores(a) + bank.scores(b)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_score_bank_checks_dimension():
     with pytest.raises(ValueError, match="does not match bank dim"):
-        score_bank(np.zeros(3), _toy_bank())
+        _toy_bank().scores(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="does not match bank dim"):
+        _toy_bank().scores(np.zeros(2))
 
 
 def test_bank_from_models_sorts_ids_and_checks_dims():
@@ -178,30 +180,121 @@ def test_bank_from_models_sorts_ids_and_checks_dims():
         2: LinearModel(weights=np.array([1.0, 2.0]), bias=0.1),
         0: LinearModel(weights=np.array([3.0, 4.0]), bias=0.2),
     }
-    bank = SvmBank.from_models("cnn", models)
+    bank = LinearBank.from_models(models)
     assert bank.category_ids == [0, 2]
     assert np.array_equal(bank.weights[0], [3.0, 4.0])
-    assert bank.model(2).bias == 0.1
+    assert bank.biases[1] == 0.1
     models[5] = LinearModel(weights=np.array([1.0]), bias=0.0)
     with pytest.raises(ValueError, match="disagree on feature dim"):
-        SvmBank.from_models("cnn", models)
+        LinearBank.from_models(models)
 
 
 def test_bank_save_load_round_trips_bits(tmp_path):
     rng = np.random.default_rng(19)
-    bank = SvmBank(
-        channel="ifv",
+    bank = LinearBank(
         category_ids=[0, 3, 7],
         weights=rng.normal(size=(3, 4)),
         biases=rng.normal(size=3),
     )
     path = tmp_path / "bank.txt"
     bank.save(path)
-    loaded = SvmBank.load(path)
-    assert loaded.channel == "ifv"
+    loaded = LinearBank.load(path)
     assert loaded.category_ids == [0, 3, 7]
     assert np.array_equal(loaded.weights, bank.weights)
     assert np.array_equal(loaded.biases, bank.biases)
+    assert loaded.feature_means is None and loaded.thresholds is None
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _banks(draw):
+    n = draw(st.integers(0, 4))
+    d = draw(st.integers(0, 6))
+
+    def vector(size, elements):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=np.float64)
+
+    optional = {}
+    if draw(st.booleans()):
+        optional["feature_means"] = vector(d, _finite)
+        optional["feature_scales"] = vector(d, st.floats(min_value=5e-324))
+    if draw(st.booleans()):
+        optional["thresholds"] = vector(n, st.one_of(_finite, st.just(-np.inf)))
+    return LinearBank(
+        category_ids=draw(st.lists(st.integers(0, 2**31), min_size=n, max_size=n)),
+        weights=vector(n * d, _finite).reshape(n, d),
+        biases=vector(n, _finite),
+        **optional,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(bank=_banks())
+def test_bank_save_load_is_bit_exact(tmp_path_factory, bank):
+    path = tmp_path_factory.mktemp("bank") / "bank.model"
+    bank.save(path)
+    loaded = LinearBank.load(path)
+    assert loaded.category_ids == bank.category_ids
+    for name in ("weights", "biases", "feature_means", "feature_scales", "thresholds"):
+        want, got = getattr(bank, name), getattr(loaded, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got is not None and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_bank_refuses_malformed_arrays():
+    def bank(**changes):
+        parts = dict(
+            category_ids=[0, 1],
+            weights=np.ones((2, 3)),
+            biases=np.zeros(2),
+            feature_means=np.zeros(3),
+            feature_scales=np.ones(3),
+            thresholds=np.zeros(2),
+        )
+        parts.update(changes)
+        return LinearBank(**parts)
+
+    bank()
+    cases = [
+        (dict(feature_means=np.zeros(2)), "3 means and scales"),
+        (dict(feature_scales=np.ones(4)), "3 means and scales"),
+        (dict(feature_scales=np.array([1.0, -2.0, 1.0])), "scales must be positive"),
+        (dict(feature_scales=None), "both means and scales"),
+        (dict(feature_means=np.array([0.0, np.nan, 0.0])), "means must be finite"),
+        (dict(biases=np.zeros(3)), "one bias per category"),
+        (dict(thresholds=np.zeros(1)), "one threshold per category"),
+        (dict(weights=np.ones((3, 3))), "one weight row per category"),
+        (dict(weights=np.array([[1.0, np.nan, 0.0], [0.0, 0.0, 0.0]])), "must be finite"),
+        (dict(weights=np.array([[1.0, np.inf, 0.0], [0.0, 0.0, 0.0]])), "must be finite"),
+        (dict(biases=np.array([0.0, -np.inf])), "must be finite"),
+        (dict(thresholds=np.array([np.nan, 0.0])), "finite or -inf"),
+        (dict(thresholds=np.array([0.0, np.inf])), "finite or -inf"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            bank(**changes)
+
+
+def test_bank_load_names_the_file_of_a_malformed_bank(tmp_path):
+    path = tmp_path / "fusion.model"
+    write_model(
+        path,
+        "linear-bank",
+        {},
+        {
+            "category_ids": np.array([[0.0, 1.0, 2.0]]),
+            "weights": np.zeros((3, 9)),
+            "biases": np.zeros((1, 3)),
+            "feature_means": np.zeros((1, 8)),
+            "feature_scales": np.ones((1, 9)),
+        },
+    )
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a valid linear bank: standardization needs 9 means"):
+        LinearBank.load(path)
 
 
 def test_fuse_scores_concatenates_in_channel_order():
@@ -266,7 +359,7 @@ def test_train_fusion_separates_the_fixture():
     fusion = train_fusion(X, labels, lambda_=1e-3, epochs=20, seed=0)
     assert fusion.n_categories == 2
     for pos in range(2):
-        scores = np.array([final_score(x, fusion, pos) for x in X])
+        scores = fusion.scores(X)[:, pos]
         want = np.where(labels == pos, 1.0, -1.0)
         assert np.all(np.sign(scores) == want)
 
@@ -324,7 +417,7 @@ def test_train_fusion_validates_shapes_and_labels():
 
 
 def _hand_fusion():
-    return FusionModel(
+    return LinearBank(
         category_ids=[0],
         weights=np.array([[1.0, 2.0, 3.0]]),
         biases=np.array([0.5]),
@@ -336,32 +429,32 @@ def _hand_fusion():
 def test_final_score_hand_value_with_standardization():
     fusion = _hand_fusion()
     # z = ([3,5,7] - 1) / 2 = [1,2,3]; score = 1 + 4 + 9 + 0.5
-    assert final_score(np.array([3.0, 5.0, 7.0]), fusion, 0) == 14.5
-    assert np.array_equal(final_scores(np.array([3.0, 5.0, 7.0]), fusion), [14.5])
+    assert np.array_equal(fusion.scores(np.array([[3.0, 5.0, 7.0]])), [[14.5]])
 
 
-def test_final_score_agrees_with_final_scores():
+def test_final_score_of_one_row_agrees_with_a_batch():
     X, labels = _fusion_fixture()
     fusion = train_fusion(X, labels, lambda_=1e-3, epochs=5, seed=1)
-    for x in X[:10]:
-        all_scores = final_scores(x, fusion)
+    batch = fusion.scores(X[:10])
+    for i, x in enumerate(X[:10]):
+        alone = fusion.scores(x[None, :])[0]
         for c in range(fusion.n_categories):
-            assert abs(final_score(x, fusion, c) - all_scores[c]) <= 1e-12
+            assert abs(alone[c] - batch[i, c]) <= 1e-12
 
 
-def test_final_score_validates_category_and_shape():
+def test_final_score_validates_shape():
     fusion = _hand_fusion()
-    with pytest.raises(ValueError, match=r"out of range \[0, 1\)"):
-        final_score(np.zeros(3), fusion, 1)
-    with pytest.raises(ValueError, match="expected"):
-        final_score(np.zeros(4), fusion, 0)
-    with pytest.raises(ValueError, match="expected"):
-        final_scores(np.zeros(2), fusion)
+    with pytest.raises(ValueError, match="does not match bank dim 3"):
+        fusion.scores(np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="does not match bank dim 3"):
+        fusion.scores(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="does not match bank dim 3"):
+        fusion.scores(np.zeros(3))
 
 
 def test_fusion_model_validation():
-    with pytest.raises(ValueError, match=r"must be \(N, 3N\)"):
-        FusionModel(
+    with pytest.raises(ValueError, match=r"standardization needs 5 means and scales, got \(6,\)"):
+        LinearBank(
             category_ids=[0, 1],
             weights=np.zeros((2, 5)),
             biases=np.zeros(2),
@@ -369,7 +462,7 @@ def test_fusion_model_validation():
             feature_scales=np.ones(6),
         )
     with pytest.raises(ValueError, match="scales must be positive"):
-        FusionModel(
+        LinearBank(
             category_ids=[0],
             weights=np.zeros((1, 3)),
             biases=np.zeros(1),
@@ -383,7 +476,7 @@ def test_fusion_save_load_round_trips_bits(tmp_path):
     fusion = train_fusion(X, labels, lambda_=1e-3, epochs=5, seed=3)
     path = tmp_path / "fusion.txt"
     fusion.save(path)
-    loaded = FusionModel.load(path)
+    loaded = LinearBank.load(path)
     assert loaded.category_ids == fusion.category_ids
     assert np.array_equal(loaded.weights, fusion.weights)
     assert np.array_equal(loaded.biases, fusion.biases)

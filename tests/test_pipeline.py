@@ -14,7 +14,7 @@ from fusedet.core import Box
 from fusedet.evaluation import mean_ap, read_report
 from fusedet.features.cnn import load_cnn_features
 from fusedet.images import read_pnm
-from fusedet.manifest import read_manifest
+from fusedet.manifest import DatasetManifest, read_manifest, write_manifest
 from fusedet.pipeline import (
     MissingArtifact,
     derive_seed,
@@ -165,6 +165,75 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
     with pytest.raises(MissingArtifact) as err:
         pipeline.stage_train_prior(cfg, manifest, out)
     assert str(err.value) == expected
+
+
+def _cli(verb, manifest, out, *extra):
+    return cli.main([verb, "--manifest", str(manifest), "--out-dir", str(out), *extra])
+
+
+def test_models_of_another_feature_width_fail_with_a_rerun_message(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text("hog.cells_x = 3\n")
+    expected = f"fusedet: error: {out / 'svm_hog.model'}: model scores 576-wide features but the data has 432; rerun 'train-svm'\n"
+    for split, verb in (("test", "detect"), ("train", "train-fusion")):
+        manifest = out / "data" / split / "manifest.txt"
+        assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 0
+        capsys.readouterr()
+        assert _cli(verb, manifest, out, "--config", str(cfg_file)) == 1
+        assert capsys.readouterr().err == expected
+
+
+def test_models_of_another_category_set_fail_with_a_rerun_message(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    # the train split relabelled with two categories, beside the original so
+    # it keeps the tag and the extracted features of the three-category one
+    man = read_manifest(out / "data" / "train" / "manifest.txt")
+    for im in man.images:
+        im.ground_truths = [gt for gt in im.ground_truths if gt.category_id < 2]
+    two = out / "data" / "train" / "manifest_two.txt"
+    write_manifest(two, DatasetManifest(man.categories[:2], man.images))
+    for verb in ("train-svm", "train-fusion", "train-regressor", "train-prior"):
+        assert _cli(verb, two, out) == 0
+    capsys.readouterr()
+    assert _cli("detect", out / "data" / "test" / "manifest.txt", out) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {out / 'svm_cnn.model'}: model categories [0, 1] are not the manifest's 0..2; "
+        "rerun 'train-svm'\n"
+    )
+
+
+def test_old_layouts_and_malformed_banks_fail_with_a_rerun_message(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    for name, old_kind, stage in (
+        ("svm_ifv.model", "svm-bank", "train-svm"),
+        ("fusion.model", "fusion", "train-fusion"),
+        ("prior.model", "presence-prior", "train-prior"),
+    ):
+        path = out / name
+        text = path.read_text()
+        path.write_text(text.replace("fusedet-model 1 linear-bank\n", f"fusedet-model 1 {old_kind}\n", 1))
+        assert _cli("detect", manifest, out) == 1
+        assert capsys.readouterr().err == (
+            f"fusedet: error: {path}: model kind is '{old_kind}', expected 'linear-bank'; rerun '{stage}'\n"
+        )
+        path.write_text(text)
+
+    # a fusion model whose means are one short of its 9 weights per row
+    lines = (out / "fusion.model").read_text().splitlines(keepends=True)
+    at = lines.index("array feature_means 1 9\n")
+    lines[at] = "array feature_means 1 8\n"
+    lines[at + 1] = " ".join(lines[at + 1].split()[:8]) + "\n"
+    (out / "fusion.model").write_text("".join(lines))
+    assert _cli("detect", manifest, out) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {out / 'fusion.model'}: not a valid linear bank: standardization needs 9 means "
+        "and scales, got (8,) and (9,); rerun 'train-fusion'\n"
+    )
 
 
 def test_all_writes_the_whole_artifact_graph(pipe):
