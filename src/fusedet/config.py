@@ -8,6 +8,7 @@ file (or no file) yields the defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -60,7 +61,7 @@ def _parse_bool(tok: str) -> bool:
 def _parse_tau(tok: str) -> Optional[float]:
     if tok == "auto":
         return None
-    return float(tok)
+    return -math.inf if tok == "-inf" else modelio.parse_real(tok)
 
 
 def _choice(*allowed):
@@ -75,8 +76,8 @@ def _choice(*allowed):
 # key -> (attribute, parser, range check, range description)
 _KEYS = {
     "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
-    "seg.k": ("seg_k", float, lambda v: v > 0, "> 0"),
-    "seg.sigma": ("seg_sigma", float, lambda v: v > 0, "> 0"),
+    "seg.k": ("seg_k", modelio.parse_real, lambda v: v > 0, "> 0"),
+    "seg.sigma": ("seg_sigma", modelio.parse_real, lambda v: v > 0, "> 0"),
     "seg.min_size": ("seg_min_size", int, lambda v: v >= 1, ">= 1"),
     "proposals.max_per_image": ("proposals_max_per_image", int, lambda v: v >= 1, ">= 1"),
     "hog.cells_x": ("hog_cells_x", int, lambda v: v >= 1, ">= 1"),
@@ -87,26 +88,26 @@ _KEYS = {
     "ifv.pca_dim": ("ifv_pca_dim", int, lambda v: v >= 1, ">= 1"),
     "ifv.gmm_k": ("ifv_gmm_k", int, lambda v: v >= 1, ">= 1"),
     "ifv.gmm_iters": ("ifv_gmm_iters", int, lambda v: v >= 1, ">= 1"),
-    "ifv.gmm_tol": ("ifv_gmm_tol", float, lambda v: v > 0, "> 0"),
-    "ifv.variance_floor": ("ifv_variance_floor", float, lambda v: v > 0, "> 0"),
+    "ifv.gmm_tol": ("ifv_gmm_tol", modelio.parse_real, lambda v: v > 0, "> 0"),
+    "ifv.variance_floor": ("ifv_variance_floor", modelio.parse_real, lambda v: v > 0, "> 0"),
     "ifv.codebook_samples": ("ifv_codebook_samples", int, lambda v: v >= 1, ">= 1"),
-    "svm.lambda": ("svm_lambda", float, lambda v: v > 0, "> 0"),
+    "svm.lambda": ("svm_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
     "svm.epochs": ("svm_epochs", int, lambda v: v >= 1, ">= 1"),
     "svm.negative_cap": ("svm_negative_cap", int, lambda v: v >= 1, ">= 1"),
     "svm.hard_negatives": ("svm_hard_negatives", _parse_bool, lambda v: True, "true|false"),
     "svm.hard_negative_count": ("svm_hard_negative_count", int, lambda v: v >= 0, ">= 0"),
-    "fusion.lambda": ("fusion_lambda", float, lambda v: v > 0, "> 0"),
+    "fusion.lambda": ("fusion_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
     "fusion.epochs": ("fusion_epochs", int, lambda v: v >= 1, ">= 1"),
-    "train.pos_iou": ("train_pos_iou", float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "train.neg_iou": ("train_neg_iou", float, lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "regress.lambda": ("regress_lambda", float, lambda v: v > 0, "> 0"),
-    "regress.match_iou": ("regress_match_iou", float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "train.pos_iou": ("train_pos_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "train.neg_iou": ("train_neg_iou", modelio.parse_real, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "regress.lambda": ("regress_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
+    "regress.match_iou": ("regress_match_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
     "regress.channel": ("regress_channel", _choice("cnn", "hog", "ifv"), lambda v: True, "cnn|hog|ifv"),
-    "nms.iou": ("nms_iou", float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "eval.iou": ("eval_iou", float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "nms.iou": ("nms_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "eval.iou": ("eval_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
     "prior.feature": ("prior_feature", _choice("ifv", "cnn"), lambda v: True, "ifv|cnn"),
-    "prior.recall": ("prior_recall", float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "prior.tau": ("prior_tau", _parse_tau, lambda v: True, "auto or a real"),
+    "prior.recall": ("prior_recall", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "prior.tau": ("prior_tau", _parse_tau, lambda v: True, "auto, -inf or a finite real"),
 }
 
 

@@ -13,7 +13,7 @@ from .ifv import (
     pca_apply,
     pca_fit,
 )
-from .cnn import CnnFeatureTable, load_cnn_features, write_cnn_features
+from .cnn import load_cnn_features, write_cnn_features
 
 __all__ = [
     "hog",
@@ -26,7 +26,6 @@ __all__ = [
     "gmm_fit",
     "pca_apply",
     "pca_fit",
-    "CnnFeatureTable",
     "load_cnn_features",
     "write_cnn_features",
 ]

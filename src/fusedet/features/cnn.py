@@ -10,46 +10,18 @@ whitespace. Records are keyed by (image_id, proposal_index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .. import modelio
 
 
-@dataclass
-class CnnFeatureTable:
-    dim: int
-    _rows: Dict[Tuple[str, int], np.ndarray] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, key: Tuple[str, int]) -> bool:
-        return key in self._rows
-
-    def get(self, image_id: str, proposal_index: int) -> np.ndarray:
-        key = (image_id, proposal_index)
-        if key not in self._rows:
-            raise KeyError(f"no feature vector for image {image_id!r} proposal {proposal_index}")
-        return self._rows[key]
-
-    def put(self, image_id: str, proposal_index: int, vector: np.ndarray) -> None:
-        v = np.asarray(vector, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}, got shape {v.shape}")
-        key = (image_id, proposal_index)
-        if key in self._rows:
-            raise ValueError(f"duplicate key ({image_id!r}, {proposal_index})")
-        self._rows[key] = v
-
-    def keys(self):
-        return self._rows.keys()
-
-
-def load_cnn_features(path) -> CnnFeatureTable:
-    table = None
+def load_cnn_features(path) -> Tuple[Dict[Tuple[str, int], int], np.ndarray]:
+    """The records of a features file: a map from (image_id, proposal_index)
+    to row, and the (records, M) float64 matrix of the vectors in file order."""
+    index: Dict[Tuple[str, int], int] = {}
+    rows: List[np.ndarray] = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -73,20 +45,18 @@ def load_cnn_features(path) -> CnnFeatureTable:
                 raise ValueError(f"{path}:{lineno}: malformed feature value") from None
             if not np.all(np.isfinite(vector)):
                 raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            if table is None:
-                table = CnnFeatureTable(dim=len(vector))
-            elif len(vector) != table.dim:
+            if rows and len(vector) != len(rows[0]):
                 raise ValueError(
-                    f"{path}:{lineno}: vector has {len(vector)} values, expected {table.dim}"
+                    f"{path}:{lineno}: vector has {len(vector)} values, expected {len(rows[0])}"
                 )
-            if (image_id, proposal_index) in table:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate key ({image_id!r}, {proposal_index})"
-                )
-            table.put(image_id, proposal_index, vector)
-    if table is None:
+            key = (image_id, proposal_index)
+            if key in index:
+                raise ValueError(f"{path}:{lineno}: duplicate key ({image_id!r}, {proposal_index})")
+            index[key] = len(rows)
+            rows.append(vector)
+    if not rows:
         raise ValueError(f"{path}: no feature records found")
-    return table
+    return index, np.stack(rows)
 
 
 def write_cnn_features(

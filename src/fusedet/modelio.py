@@ -13,6 +13,7 @@ bit-exact for float64.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -23,6 +24,17 @@ VERSION = 1
 
 def fmt_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def parse_real(tok: str) -> float:
+    """tok as a finite float; ValueError quoting tok otherwise."""
+    try:
+        v = float(tok)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite real, got {tok!r}")
+    return v
 
 
 def write_model(path, kind: str, meta: Dict[str, str], arrays: Dict[str, np.ndarray]) -> None:

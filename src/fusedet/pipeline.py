@@ -165,26 +165,34 @@ def write_proposals(path, per_image: Sequence[Tuple[str, Sequence[Box]]]) -> Non
 
 
 def read_proposals(path) -> Dict[str, List[Box]]:
+    """The boxes of every image in a proposals file; a malformed line raises
+    ValueError prefixed with the file and line number."""
     out: Dict[str, List[Box]] = {}
     with open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     i = 0
     while i < len(lines):
-        parts = lines[i].split()
+        lineno, line = lines[i]
+        parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: expected 'image_id count', got {lines[i]!r}")
-        image_id, count = parts[0], int(parts[1])
+            raise ValueError(f"{path}:{lineno}: expected 'image_id count', got {line!r}")
+        image_id, count = parts
+        if not count.isdecimal():
+            raise ValueError(f"{path}:{lineno}: bad box count {count!r}")
+        count = int(count)
         if image_id in out:
-            raise ValueError(f"{path}: duplicate image {image_id}")
+            raise ValueError(f"{path}:{lineno}: duplicate image {image_id}")
         if i + count >= len(lines):
-            raise ValueError(f"{path}: image {image_id} declares {count} boxes, file ends early")
+            raise ValueError(f"{path}:{lineno}: image {image_id} declares {count} boxes, file ends early")
         boxes = []
-        for j in range(count):
-            toks = lines[i + 1 + j].split()
+        for lineno, line in lines[i + 1 : i + 1 + count]:
+            toks = line.split()
             if len(toks) != 4:
-                raise ValueError(f"{path}: bad proposal line {lines[i + 1 + j]!r}")
-            x0, y0, x1, y1 = (float(t) for t in toks)
-            boxes.append(Box(x0, y0, x1, y1))
+                raise ValueError(f"{path}:{lineno}: bad proposal line {line!r}")
+            try:
+                boxes.append(Box(*map(modelio.parse_real, toks)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         out[image_id] = boxes
         i += 1 + count
     return out
@@ -314,6 +322,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     starts = np.cumsum(counts) - counts
     n = int(counts.sum())
     ifv_length = fisher_length(pca.dim, gmm.k)
+    box_rows = np.empty((n, 4))
     hog_rows = np.empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
     ifv_rows = np.empty((n, ifv_length), np.float32)
     prior_rows = np.empty((len(man.images), ifv_length), np.float32)
@@ -325,6 +334,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
         rows = slice(starts[i], starts[i] + counts[i])
         embeddings = np.empty((counts[i], img.channels * CNN_EMBED_SIDE**2))
         windows = box_corners(props[im.image_id])
+        box_rows[rows] = windows
         prior_rows[i], image_embedding = extract_image(
             cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], embeddings
         )
@@ -334,6 +344,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     write_cnn_features(cnn_path(out_dir, tag), cnn_records)
     write_cnn_features(cnn_images_path(out_dir, tag), image_records)
     arrays = {
+        "boxes": box_rows,
         "hog": hog_rows,
         "ifv": ifv_rows,
         "prior_ifv": prior_rows,
@@ -348,76 +359,64 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
 
 def _cnn_rows(path: Path, keys: Sequence[Tuple[str, int]]) -> np.ndarray:
     """The vectors of a CNN features file for (image_id, proposal_index) keys, in order."""
-    table = load_cnn_features(_require(path, "extract"))
-    rows = []
+    index, matrix = load_cnn_features(_require(path, "extract"))
     for image_id, proposal_index in keys:
-        if (image_id, proposal_index) not in table:
+        if (image_id, proposal_index) not in index:
             raise MissingArtifact(
                 f"{path}: no vector for image {image_id} proposal {proposal_index}; rerun 'extract'"
             )
-        rows.append(table.get(image_id, proposal_index))
-    return np.stack(rows) if rows else np.zeros((0, table.dim))
+    return matrix[[index[key] for key in keys]]
 
 
 class _StageInputs(NamedTuple):
     """What train-svm, train-fusion, train-regressor and detect read: the
-    manifest, its proposals, the features archive, and the per-proposal
-    matrix of every channel with the image and proposal index of each row."""
+    manifest, the features archive (one row per proposal, with the row's
+    box, image and proposal index), and the matrix of every channel."""
 
     tag: str
     out_dir: Path
     man: DatasetManifest
-    props: Dict[str, List[Box]]
     feats: Dict[str, np.ndarray]
     channels: Dict[str, np.ndarray]
-    row_image: np.ndarray
-    row_proposal: np.ndarray
 
 
 def _stage_inputs(manifest_path, out_dir, tag: Optional[str]) -> _StageInputs:
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
-    feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
-    row_image = feats["row_image"]
-    row_proposal = feats["row_proposal"]
+    path = _require(features_path(out_dir, tag), "extract")
+    feats = cache.load_arrays(path)
+    if "boxes" not in feats:
+        raise MissingArtifact(f"{path}: archive holds no proposal boxes; rerun 'extract'")
     cnn = _cnn_rows(
         cnn_path(out_dir, tag),
-        [(man.images[i].image_id, int(p)) for i, p in zip(row_image, row_proposal)],
+        [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])],
     )
     channels = {"cnn": cnn, "hog": feats["hog"], "ifv": feats["ifv"]}
-    return _StageInputs(tag, out_dir, man, props, feats, channels, row_image, row_proposal)
+    return _StageInputs(tag, out_dir, man, feats, channels)
 
 
 def _label_rows(cfg, data: _StageInputs):
     """Training label per feature row: category id, -1 background, -2 ignored.
 
-    Also returns, per row, the best-IoU ground truth (or None) for the box.
+    Also returns, per row, the best-IoU ground truth (or None) and the box.
     """
-    man, props, row_image, row_proposal = data.man, data.props, data.row_image, data.row_proposal
-    n = len(row_image)
-    labels = np.full(n, -1, dtype=np.int64)
-    best_gts: List[Optional[GroundTruth]] = [None] * n
-    boxes_per_row: List[Box] = [None] * n  # type: ignore[assignment]
-    for i, im in enumerate(man.images):
-        rows = np.nonzero(row_image == i)[0]
-        if len(rows) == 0:
+    row_image = data.feats["row_image"]
+    boxes = [Box(*c) for c in data.feats["boxes"].tolist()]
+    labels = np.full(len(boxes), -1, dtype=np.int64)
+    best_gts: List[Optional[GroundTruth]] = [None] * len(boxes)
+    for r, box in enumerate(boxes):
+        gts = data.man.images[row_image[r]].ground_truths
+        if not gts:
             continue
-        boxes = props[im.image_id]
-        for r in rows:
-            box = boxes[int(row_proposal[r])]
-            boxes_per_row[r] = box
-            if not im.ground_truths:
-                continue
-            ious = [iou(box, gt.box) for gt in im.ground_truths]
-            j = int(np.argmax(ious))
-            best_gts[r] = im.ground_truths[j]
-            if ious[j] >= cfg.train_pos_iou:
-                labels[r] = im.ground_truths[j].category_id
-            elif ious[j] >= cfg.train_neg_iou:
-                labels[r] = -2
-    return labels, best_gts, boxes_per_row
+        ious = [iou(box, gt.box) for gt in gts]
+        j = int(np.argmax(ious))
+        best_gts[r] = gts[j]
+        if ious[j] >= cfg.train_pos_iou:
+            labels[r] = gts[j].category_id
+        elif ious[j] >= cfg.train_neg_iou:
+            labels[r] = -2
+    return labels, best_gts, boxes
 
 
 def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None):
@@ -465,18 +464,25 @@ def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[s
     return paths
 
 
-def _load_bank(path: Path, stage: str, dim: int, n_categories: int) -> LinearBank:
-    """The bank that stage saved at path, checked against the data it is to
-    score: dim-wide feature rows of categories 0..n_categories-1. A missing,
-    malformed or stale file raises MissingArtifact naming the stage to rerun."""
+def _load_model(load, path: Path, stage: str, dim: int):
+    """The model that stage saved at path, read by load and checked to take
+    the dim-wide feature rows of the data. A missing, malformed or stale file
+    raises MissingArtifact naming the stage to rerun."""
     try:
-        bank = LinearBank.load(_require(path, stage))
+        model = load(_require(path, stage))
     except ValueError as exc:
         raise MissingArtifact(f"{exc}; rerun '{stage}'") from None
-    if bank.dim != dim:
+    if model.dim != dim:
         raise MissingArtifact(
-            f"{path}: model scores {bank.dim}-wide features but the data has {dim}; rerun '{stage}'"
+            f"{path}: model scores {model.dim}-wide features but the data has {dim}; rerun '{stage}'"
         )
+    return model
+
+
+def _load_bank(path: Path, stage: str, dim: int, n_categories: int) -> LinearBank:
+    """The bank that stage saved at path, checked against the data it is to
+    score: dim-wide feature rows of categories 0..n_categories-1."""
+    bank = _load_model(LinearBank.load, path, stage, dim)
     if bank.category_ids != list(range(n_categories)):
         raise MissingArtifact(
             f"{path}: model categories {bank.category_ids} are not the manifest's "
@@ -614,20 +620,18 @@ def stage_detect(
     n_cat = man.n_categories
     banks = _load_banks(data)
     fusion = _load_bank(fusion_path(out_dir), "train-fusion", 3 * n_cat, n_cat) if channel == "fused" else None
-    regressor = BoxRegressor.load(_require(regressor_path(out_dir), "train-regressor"))
+    regressor = _load_model(
+        BoxRegressor.load, regressor_path(out_dir), "train-regressor", data.channels[cfg.regress_channel].shape[1]
+    )
     prior_feats = _prior_features(cfg, man, out_dir, data.tag, data.feats)
     prior = _load_bank(prior_path(out_dir), "train-prior", prior_feats.shape[1], n_cat)
 
     results: List[Detection] = []
     for i, im in enumerate(man.images):
-        rows = np.nonzero(data.row_image == i)[0]
-        boxes = data.props[im.image_id]
-        if len(rows) != len(boxes):
-            raise MissingArtifact(
-                f"feature rows for image {im.image_id} disagree with its proposals; rerun 'extract'"
-            )
-        if not boxes:
+        rows = np.nonzero(data.feats["row_image"] == i)[0]
+        if len(rows) == 0:
             continue
+        boxes = [Box(*c) for c in data.feats["boxes"][rows].tolist()]
         img = read_pnm(man.resolved_path(im))
         per_channel = {ch: data.channels[ch][rows] for ch in CHANNELS}
         if channel == "fused":

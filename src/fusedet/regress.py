@@ -97,10 +97,13 @@ class BoxRegressor:
 
     @classmethod
     def load(cls, path) -> "BoxRegressor":
+        """The regressor saved at path; ValueError naming the file if it holds none."""
         meta, arrays = modelio.read_model(path, "bbox-regressor")
-        dim = int(meta["dim"])
-        ids = [int(v) for v in arrays["category_ids"][0]]
-        return cls(dim=dim, coefficients={cid: arrays[f"category_{cid}"] for cid in ids})
+        try:
+            ids = [int(v) for v in arrays["category_ids"][0]]
+            return cls(dim=int(meta["dim"]), coefficients={cid: arrays[f"category_{cid}"] for cid in ids})
+        except (KeyError, IndexError, OverflowError, ValueError) as exc:
+            raise ValueError(f"{path}: not a valid box regressor: {exc}") from None
 
 
 def train_bbox_regressor(

@@ -2,26 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusedet.features.cnn import CnnFeatureTable, load_cnn_features, write_cnn_features
+from fusedet.features.cnn import load_cnn_features, write_cnn_features
 
 
 def test_load_two_record_fixture(tmp_path):
     p = tmp_path / "feat.txt"
     p.write_text("img_a 0 1.0 2.0 3.0\nimg_a 1 -0.5 0.25 8.0\n")
-    table = load_cnn_features(p)
-    assert table.dim == 3
-    assert len(table) == 2
-    assert np.array_equal(table.get("img_a", 0), [1.0, 2.0, 3.0])
-    assert np.array_equal(table.get("img_a", 1), [-0.5, 0.25, 8.0])
-    assert ("img_a", 1) in table
-    assert ("img_b", 0) not in table
+    index, matrix = load_cnn_features(p)
+    assert matrix.shape == (2, 3)
+    assert matrix.dtype == np.float64
+    assert index == {("img_a", 0): 0, ("img_a", 1): 1}
+    assert np.array_equal(matrix[index["img_a", 0]], [1.0, 2.0, 3.0])
+    assert np.array_equal(matrix[index["img_a", 1]], [-0.5, 0.25, 8.0])
+    assert ("img_b", 0) not in index
 
 
 def test_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "feat.txt"
     p.write_text("\nimg 0 1.0 2.0\n\n\nimg 1 3.0 4.0\n")
-    assert len(load_cnn_features(p)) == 2
+    index, matrix = load_cnn_features(p)
+    assert len(index) == 2
+    assert np.array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_write_then_load_round_trips_bits(tmp_path):
@@ -33,10 +37,10 @@ def test_write_then_load_round_trips_bits(tmp_path):
     ]
     p = tmp_path / "feat.txt"
     write_cnn_features(p, records)
-    table = load_cnn_features(p)
-    assert table.dim == 5
+    index, matrix = load_cnn_features(p)
+    assert matrix.shape == (3, 5)
     for image_id, idx, vec in records:
-        assert np.array_equal(table.get(image_id, idx), vec)
+        assert np.array_equal(matrix[index[image_id, idx]], vec)
 
 
 def test_load_rejects_width_mismatch_naming_line(tmp_path):
@@ -90,24 +94,45 @@ def test_load_rejects_empty_file(tmp_path):
         load_cnn_features(p)
 
 
-def test_table_get_raises_on_missing_key():
-    table = CnnFeatureTable(dim=2)
-    table.put("a", 0, np.array([1.0, 2.0]))
-    with pytest.raises(KeyError, match="proposal 1"):
-        table.get("a", 1)
-
-
-def test_table_put_validates_shape_and_duplicates():
-    table = CnnFeatureTable(dim=3)
-    with pytest.raises(ValueError, match="length 3"):
-        table.put("a", 0, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="length 3"):
-        table.put("a", 0, np.zeros((2, 3)))
-    table.put("a", 0, np.zeros(3))
-    with pytest.raises(ValueError, match="duplicate"):
-        table.put("a", 0, np.ones(3))
-
-
 def test_write_rejects_whitespace_image_id(tmp_path):
     with pytest.raises(ValueError, match="whitespace"):
         write_cnn_features(tmp_path / "f.txt", [("bad id", 0, np.zeros(2))])
+
+
+_IDS = st.text(alphabet="abcxyz_0123456789", min_size=1, max_size=6)
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(st.tuples(_IDS, st.integers(0, 10**6)), min_size=1, max_size=12, unique=True))
+    width = draw(st.integers(1, 6))
+    return [(image_id, p, np.array(draw(st.lists(_VALUES, min_size=width, max_size=width)))) for image_id, p in keys]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_records())
+def test_write_then_load_round_trips_any_records(tmp_path_factory, records):
+    p = tmp_path_factory.mktemp("cnn") / "feat.txt"
+    write_cnn_features(p, records)
+    index, matrix = load_cnn_features(p)
+    assert index == {(image_id, idx): r for r, (image_id, idx, _) in enumerate(records)}
+    expected = np.stack([v for _, _, v in records])
+    assert matrix.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=_records(),
+    at=st.integers(0, 12),
+    bad=st.sampled_from(["img", "img x 1.0", "img -1 1.0", "img 0 oops", "img 0 nan", "img 0 -inf"]),
+)
+def test_a_malformed_record_anywhere_is_rejected_with_its_line(tmp_path_factory, records, at, bad):
+    p = tmp_path_factory.mktemp("cnn") / "feat.txt"
+    write_cnn_features(p, records)
+    lines = p.read_text().splitlines(keepends=True)
+    at = min(at, len(lines))
+    lines.insert(at, bad + "\n")
+    p.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"feat.txt:{at + 1}: "):
+        load_cnn_features(p)

@@ -1,6 +1,7 @@
 """The key = value configuration file format."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -55,6 +56,26 @@ def test_tau_auto_and_numeric(tmp_path):
     assert _load(tmp_path, "prior.tau = auto").prior_tau is None
     assert _load(tmp_path, "prior.tau = 0.25").prior_tau == 0.25
     assert _load(tmp_path, "prior.tau = -1.5").prior_tau == -1.5
+    assert _load(tmp_path, "prior.tau = -inf").prior_tau == -math.inf
+
+
+def test_tau_rejects_non_finite_values_but_minus_infinity(tmp_path):
+    for value in ("inf", "nan", "1e400", "+inf"):
+        with pytest.raises(ValueError) as err:
+            _load(tmp_path, f"seed = 1\nprior.tau = {value}\n")
+        assert str(err.value) == f"{tmp_path / 'cfg'}:2: bad value for prior.tau: expected a finite real, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["seg.k", "seg.sigma", "ifv.gmm_tol", "ifv.variance_floor", "svm.lambda", "fusion.lambda", "regress.lambda"],
+)
+def test_positive_reals_reject_infinity_and_nan(tmp_path, key):
+    for value in ("inf", "1e400", "nan"):
+        with pytest.raises(ValueError) as err:
+            _load(tmp_path, f"{key} = {value}\n")
+        assert str(err.value) == f"{tmp_path / 'cfg'}:1: bad value for {key}: expected a finite real, got {value!r}"
+    assert getattr(_load(tmp_path, f"{key} = 1e300\n"), key.replace(".", "_")) == 1e300
 
 
 def test_unknown_key_names_the_line(tmp_path):

@@ -6,14 +6,16 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet import cli, pipeline
-from fusedet.cache import load_arrays
+from fusedet.cache import load_arrays, save_arrays
 from fusedet.config import PipelineConfig
 from fusedet.core import Box
 from fusedet.evaluation import mean_ap, read_report
 from fusedet.features.cnn import load_cnn_features
-from fusedet.images import read_pnm
+from fusedet.images import box_corners, read_pnm
 from fusedet.manifest import DatasetManifest, read_manifest, write_manifest
 from fusedet.pipeline import (
     MissingArtifact,
@@ -102,17 +104,70 @@ def test_proposals_file_round_trip(tmp_path):
 
 def test_read_proposals_errors(tmp_path):
     p = tmp_path / "props.txt"
-    p.write_text("im_0 1\n0 0 5 5\nim_0 0\n")
-    with pytest.raises(ValueError, match="duplicate image im_0"):
-        read_proposals(p)
-    p.write_text("im_0 2\n0 0 5 5\n")
-    with pytest.raises(ValueError, match="declares 2 boxes, file ends early"):
-        read_proposals(p)
-    p.write_text("im_0 1\n0 0 5\n")
-    with pytest.raises(ValueError, match="bad proposal line"):
-        read_proposals(p)
-    p.write_text("im_0\n")
-    with pytest.raises(ValueError, match="expected 'image_id count'"):
+    for text, message in (
+        ("im_0 1\n0 0 5 5\nim_0 0\n", "3: duplicate image im_0"),
+        ("im_0 2\n0 0 5 5\n", "1: image im_0 declares 2 boxes, file ends early"),
+        ("im_0 1\n0 0 5\n", "2: bad proposal line '0 0 5'"),
+        ("im_0\n", "1: expected 'image_id count', got 'im_0'"),
+        ("im_0 -1\n", "1: bad box count '-1'"),
+        ("im_0 x\n", "1: bad box count 'x'"),
+        ("im_0 1\n\n0 0 a 5\n", "3: expected a finite real, got 'a'"),
+        ("im_0 1\n0 0 inf 5\n", "2: expected a finite real, got 'inf'"),
+        ("im_0 0\nim_1 1\n0 0 0 5\n", "3: box must have positive area, got (0.0, 0.0, 0.0, 5.0)"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_proposals(p)
+        assert str(err.value) == f"{p}:{message}"
+
+
+_COORD = st.floats(-1e6, 1e6, allow_nan=False)
+_SIDE = st.floats(1e-3, 1e6)
+
+
+@st.composite
+def _proposal_files(draw):
+    ids = draw(st.lists(st.text(alphabet="abcxyz_0123456789", min_size=1, max_size=6), max_size=5, unique=True))
+    per_image = []
+    for image_id in ids:
+        boxes = []
+        for x0, y0, w, h in draw(st.lists(st.tuples(_COORD, _COORD, _SIDE, _SIDE), max_size=6)):
+            if x0 + w > x0 and y0 + h > y0:
+                boxes.append(Box(x0, y0, x0 + w, y0 + h))
+        per_image.append((image_id, boxes))
+    return per_image
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_image=_proposal_files())
+def test_write_then_read_proposals_round_trips_any_boxes(tmp_path_factory, per_image):
+    p = tmp_path_factory.mktemp("props") / "props.txt"
+    write_proposals(p, per_image)
+    assert read_proposals(p) == dict(per_image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    per_image=_proposal_files().filter(bool),
+    at=st.integers(0, 40),
+    bad_count=st.sampled_from(["x", "-1", "2.5"]),
+    bad_coord=st.sampled_from(["a", "nan", "inf", "-inf", None]),
+)
+def test_a_malformed_proposals_line_anywhere_is_rejected_with_its_number(
+    tmp_path_factory, per_image, at, bad_count, bad_coord
+):
+    p = tmp_path_factory.mktemp("props") / "props.txt"
+    write_proposals(p, per_image)
+    lines = p.read_text().splitlines(keepends=True)
+    at %= len(lines)
+    toks = lines[at].split()
+    if len(toks) == 2:  # an image header: spoil its count
+        toks[1] = bad_count
+    else:  # a box line: spoil its x_max, or give it zero width
+        toks[2] = toks[0] if bad_coord is None else bad_coord
+    lines[at] = " ".join(toks) + "\n"
+    p.write_text("".join(lines))
+    with pytest.raises(ValueError, match=rf"props.txt:{at + 1}: "):
         read_proposals(p)
 
 
@@ -183,6 +238,32 @@ def test_models_of_another_feature_width_fail_with_a_rerun_message(pipe, tmp_pat
         capsys.readouterr()
         assert _cli(verb, manifest, out, "--config", str(cfg_file)) == 1
         assert capsys.readouterr().err == expected
+
+
+def test_a_regressor_of_another_feature_width_fails_with_a_rerun_message(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    train, test = (out / "data" / split / "manifest.txt" for split in ("train", "test"))
+    hog_cfg = tmp_path / "hog"
+    hog_cfg.write_text("regress.channel = hog\n")
+    assert _cli("train-regressor", train, out, "--config", str(hog_cfg)) == 0
+    # every model but the regressor retrained on narrower HOG rows
+    hog_cfg.write_text("regress.channel = hog\nhog.cells_x = 3\n")
+    for verb, manifest in (("extract", train), ("extract", test), ("train-svm", train), ("train-fusion", train)):
+        assert _cli(verb, manifest, out, "--config", str(hog_cfg)) == 0
+    capsys.readouterr()
+    path = out / "regressor.model"
+    assert _cli("detect", test, out, "--config", str(hog_cfg)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}: model scores 576-wide features but the data has 432; rerun 'train-regressor'\n"
+    )
+
+    path.write_text(path.read_text().replace("meta dim 576\n", "meta dim 431\n", 1))
+    assert _cli("detect", test, out, "--config", str(hog_cfg)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}: not a valid box regressor: category 0: expected (4, 432) coefficients, "
+        "got (4, 577); rerun 'train-regressor'\n"
+    )
 
 
 def test_models_of_another_category_set_fail_with_a_rerun_message(pipe, tmp_path, capsys):
@@ -276,6 +357,49 @@ def test_every_test_image_has_proposals_within_the_cap(pipe):
             assert 0 <= b.y_min < b.y_max <= 64
 
 
+def test_downstream_stages_read_boxes_from_the_archive_not_the_proposals(pipe, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    for split in ("train", "test"):
+        (out / f"proposals_{split}.txt").unlink()
+    train, test = (out / "data" / split / "manifest.txt" for split in ("train", "test"))
+    for stage in (pipeline.stage_train_svm, pipeline.stage_train_fusion, pipeline.stage_train_regressor):
+        stage(pipe["cfg"], train, out)
+    stage_detect(pipe["cfg"], test, out)
+    for name in ("svm_cnn.model", "fusion.model", "regressor.model", "detections_test.txt"):
+        assert (out / name).read_bytes() == (pipe["out"] / name).read_bytes(), name
+
+
+def test_detect_keeps_the_boxes_its_rows_were_extracted_from(pipe, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cap = 6  # every test image has more proposals than this under both sigmas
+    cfg = dataclasses.replace(pipe["cfg"], proposals_max_per_image=cap)
+    stage_propose(cfg, manifest, out)
+    stage_extract(cfg, manifest, out)
+    before = read_proposals(out / "proposals_test.txt")
+    detections = stage_detect(cfg, manifest, out).read_bytes()
+    assert detections
+
+    stage_propose(dataclasses.replace(cfg, seg_sigma=0.6), manifest, out)
+    after = read_proposals(out / "proposals_test.txt")
+    assert all(len(boxes) == cap for boxes in (*before.values(), *after.values()))
+    assert after != before
+    assert stage_detect(cfg, manifest, out).read_bytes() == detections
+
+
+def test_an_archive_without_boxes_fails_with_a_rerun_message(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    path = out / "features_test.npz"
+    arrays = load_arrays(path)
+    del arrays["boxes"]
+    save_arrays(path, arrays)
+    assert _cli("detect", out / "data" / "test" / "manifest.txt", out) == 1
+    assert capsys.readouterr().err == f"fusedet: error: {path}: archive holds no proposal boxes; rerun 'extract'\n"
+
+
 def test_feature_rows_align_with_proposals(pipe):
     feats = load_arrays(pipe["out"] / "features_test.npz")
     props = read_proposals(pipe["out"] / "proposals_test.txt")
@@ -285,16 +409,18 @@ def test_feature_rows_align_with_proposals(pipe):
     assert feats["ifv"].shape[0] == total
     assert feats["row_image"].shape == (total,)
     assert feats["prior_ifv"].shape[0] == len(man.images)
+    assert feats["boxes"].dtype == np.float64
     for i, im in enumerate(man.images):
         rows = np.nonzero(feats["row_image"] == i)[0]
         assert len(rows) == len(props[im.image_id])
         assert list(feats["row_proposal"][rows]) == list(range(len(rows)))
+        assert np.array_equal(feats["boxes"][rows], box_corners(props[im.image_id]))
 
 
 def test_stand_in_embeddings_are_unit_norm(pipe):
-    table = load_cnn_features(pipe["out"] / "cnn_test.txt")
-    assert table.dim == 3 * pipeline.CNN_EMBED_SIDE**2
-    norms = [float(v @ v) for v in (table.get(*k) for k in list(table.keys())[:50])]
+    _, matrix = load_cnn_features(pipe["out"] / "cnn_test.txt")
+    assert matrix.shape[1] == 3 * pipeline.CNN_EMBED_SIDE**2
+    norms = [float(v @ v) for v in matrix[:50]]
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
