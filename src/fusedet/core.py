@@ -42,15 +42,6 @@ class Box:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
-    def union_bbox(self, other: "Box") -> "Box":
-        """Smallest box enclosing both."""
-        return Box(
-            min(self.x_min, other.x_min),
-            min(self.y_min, other.y_min),
-            max(self.x_max, other.x_max),
-            max(self.y_max, other.y_max),
-        )
-
 
 @dataclass(frozen=True)
 class Detection:

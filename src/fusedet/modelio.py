@@ -37,6 +37,11 @@ def parse_real(tok: str) -> float:
     return v
 
 
+def _is_count(tok: str) -> bool:
+    """Whether tok is a non-negative decimal integer."""
+    return tok.isascii() and tok.isdigit()
+
+
 def write_model(path, kind: str, meta: Dict[str, str], arrays: Dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC} {VERSION} {kind}\n")
@@ -60,6 +65,8 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != MAGIC:
         raise ValueError(f"{path}: bad magic line {lines[0]!r}")
+    if not _is_count(header[1]):
+        raise ValueError(f"{path}: bad version {header[1]!r}")
     if int(header[1]) != VERSION:
         raise ValueError(f"{path}: unsupported version {header[1]}")
     if header[2] != expected_kind:
@@ -77,6 +84,8 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
             meta[parts[1]] = " ".join(parts[2:])
             i += 1
         elif parts[0] == "array" and len(parts) == 4:
+            if not (_is_count(parts[2]) and _is_count(parts[3])):
+                raise ValueError(f"{path}:{i + 1}: bad array header {line!r}")
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
             if i + rows >= len(lines):
                 raise ValueError(f"{path}: truncated array {name!r}")

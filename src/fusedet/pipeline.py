@@ -55,7 +55,7 @@ from .images import (
     write_pnm,
 )
 from .manifest import DatasetManifest, read_manifest
-from .proposals import SelectiveSearchConfig, selective_search
+from .proposals import selective_search
 from .regress import BoxRegressor, refine, train_bbox_regressor
 from .synth import SynthSpec, generate_dataset
 
@@ -206,17 +206,13 @@ def stage_propose(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     man = read_manifest(manifest_path)
-    ss_cfg = SelectiveSearchConfig(
-        k=cfg.seg_k,
-        sigma=cfg.seg_sigma,
-        min_size=cfg.seg_min_size,
-        max_boxes=cfg.proposals_max_per_image,
-    )
     per_image = []
     total = 0
     for im in man.images:
         img = read_pnm(man.resolved_path(im))
-        boxes = selective_search(img, ss_cfg)
+        boxes = selective_search(
+            img, cfg.seg_k, cfg.seg_min_size, cfg.seg_sigma, cfg.proposals_max_per_image
+        )
         per_image.append((im.image_id, boxes))
         total += len(boxes)
     path = proposals_path(out_dir, tag)
@@ -270,7 +266,18 @@ def extract_image(
 def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[PcaModel, GmmModel]:
     pca_file, gmm_file = codebook_paths(out_dir)
     if pca_file.exists() and gmm_file.exists():
-        return PcaModel.load(pca_file), GmmModel.load(gmm_file)
+        pca, gmm = PcaModel.load(pca_file), GmmModel.load(gmm_file)
+        for path, what, saved, key, want in (
+            (pca_file, "input dims", pca.basis.shape[0], "ifv.patch", 2 * cfg.ifv_patch**2),
+            (pca_file, "output dims", pca.dim, "ifv.pca_dim", cfg.ifv_pca_dim),
+            (gmm_file, "components", gmm.k, "ifv.gmm_k", cfg.ifv_gmm_k),
+        ):
+            if saved != want:
+                raise MissingArtifact(
+                    f"{path}: saved codebook has {saved} {what} where {key} asks for {want}; "
+                    f"delete {pca_file.name} and {gmm_file.name} and rerun 'extract' on the training split"
+                )
+        return pca, gmm
 
     chunks = []
     total = 0

@@ -13,13 +13,17 @@ is then found at once by pointer jumping on the parent array.
 
 Grouping then repeatedly merges the most similar adjacent region pair under
 a four-term similarity (color, texture, size, fill) and emits the bounding
-box of every region that ever existed.
+box of every region that ever existed. Regions live in one `Regions` table,
+one row per id: each merge writes one new row, scores the new region
+against all of its neighbours in one array pass, and pushes those pairs on
+a heap; a popped pair whose id has already merged is stale and skipped.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -43,21 +47,17 @@ class SegmentationMap:
         return int(self.labels.max()) + 1
 
 
-@dataclass
-class Region:
-    id: int
-    pixel_count: int
-    bbox: Box
-    color_hist: np.ndarray  # channels * COLOR_BINS bins, sums to 1
-    texture_hist: np.ndarray  # channels * TEXTURE_BINS bins, sums to 1
+@dataclass(frozen=True)
+class Regions:
+    """One row per region id; hierarchical grouping appends merged regions."""
 
+    size: np.ndarray  # (n,) int64 pixel counts
+    boxes: np.ndarray  # (n, 4) float64 x_min, y_min, x_max, y_max
+    color: np.ndarray  # (n, channels * COLOR_BINS), rows sum to 1
+    texture: np.ndarray  # (n, channels * TEXTURE_BINS), rows sum to 1
 
-@dataclass
-class SelectiveSearchConfig:
-    k: float = 300.0
-    sigma: float = 0.8
-    min_size: int = 50
-    max_boxes: int = 2000
+    def __len__(self) -> int:
+        return len(self.size)
 
 
 def _pixel_edges(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,9 +175,9 @@ def _gradient(plane: np.ndarray) -> List[np.ndarray]:
     ]
 
 
-def region_descriptors(img: Image, seg: SegmentationMap) -> List[Region]:
-    """Per-region size, tight bounding box, and normalized color and texture
-    histograms (similarity inputs for grouping)."""
+def region_descriptors(img: Image, seg: SegmentationMap) -> Regions:
+    """Table of each region's size, tight bounding box, and normalized color
+    and texture histograms (similarity inputs for grouping), row = region id."""
     labels = seg.labels.ravel()
     n_regions = seg.num_regions
     c = img.channels
@@ -219,38 +219,25 @@ def region_descriptors(img: Image, seg: SegmentationMap) -> List[Region]:
     np.maximum.at(x_max, labels, xs)
     np.maximum.at(y_max, labels, ys)
 
-    regions = []
-    for rid in range(n_regions):
-        regions.append(
-            Region(
-                id=rid,
-                pixel_count=int(counts[rid]),
-                bbox=Box(
-                    float(x_min[rid]),
-                    float(y_min[rid]),
-                    float(x_max[rid] + 1),
-                    float(y_max[rid] + 1),
-                ),
-                color_hist=color_hist[rid],
-                texture_hist=texture_hist[rid],
-            )
-        )
-    return regions
+    boxes = np.stack([x_min, y_min, x_max + 1, y_max + 1], axis=1).astype(np.float64)
+    return Regions(counts, boxes, color_hist, texture_hist)
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
-
-
-def similarity(a: Region, b: Region, image_area: float) -> float:
-    """Four-term region similarity in [0, 4]: histogram intersections for
-    color and texture, plus size and fill terms that favor small regions and
-    merges that fill their joint bounding box."""
-    s_color = _clamp01(float(np.minimum(a.color_hist, b.color_hist).sum()))
-    s_texture = _clamp01(float(np.minimum(a.texture_hist, b.texture_hist).sum()))
-    s_size = _clamp01(1.0 - (a.pixel_count + b.pixel_count) / image_area)
-    joint = a.bbox.union_bbox(b.bbox)
-    s_fill = _clamp01(1.0 - (joint.area - a.pixel_count - b.pixel_count) / image_area)
+def similarity(table: Regions, a, b, image_area: float) -> np.ndarray:
+    """Four-term similarity in [0, 4] of regions a[i] and b[i] (index arrays
+    or ints): histogram intersections for color and texture, plus size and
+    fill terms that favor small regions and merges that fill their joint
+    bounding box. Each term is clamped to [0, 1], then the four are added in
+    that order."""
+    s_color = np.clip(np.minimum(table.color[a], table.color[b]).sum(axis=-1), 0.0, 1.0)
+    s_texture = np.clip(np.minimum(table.texture[a], table.texture[b]).sum(axis=-1), 0.0, 1.0)
+    pixels = table.size[a] + table.size[b]
+    s_size = np.clip(1.0 - pixels / image_area, 0.0, 1.0)
+    # the areas and pixel counts are integers, so this arithmetic is exact
+    wh = np.maximum(table.boxes[a, 2:], table.boxes[b, 2:]) - np.minimum(
+        table.boxes[a, :2], table.boxes[b, :2]
+    )
+    s_fill = np.clip(1.0 - (wh[..., 0] * wh[..., 1] - pixels) / image_area, 0.0, 1.0)
     return s_color + s_texture + s_size + s_fill
 
 
@@ -274,81 +261,73 @@ def region_adjacency(seg: SegmentationMap) -> Set[Tuple[int, int]]:
     return pairs
 
 
-def _merge_regions(a: Region, b: Region, new_id: int) -> Region:
-    n = a.pixel_count + b.pixel_count
-    wa = a.pixel_count / n
-    wb = b.pixel_count / n
-    return Region(
-        id=new_id,
-        pixel_count=n,
-        bbox=a.bbox.union_bbox(b.bbox),
-        color_hist=wa * a.color_hist + wb * b.color_hist,
-        texture_hist=wa * a.texture_hist + wb * b.texture_hist,
-    )
-
-
 def hierarchical_grouping(
-    regions: List[Region], adjacency: Set[Tuple[int, int]], image_area: float
-) -> List[Region]:
+    regions: Regions, adjacency: Set[Tuple[int, int]], image_area: float
+) -> Regions:
     """Merge the most similar adjacent pair until one region remains.
 
-    Returns every region ever created, initial ones first, then merged
-    regions in creation order. Ties in similarity are broken by the smallest
+    Returns the table of every region ever created, 2R - 1 rows for R
+    connected regions: the initial ones first, then merged regions in
+    creation order. Ties in similarity are broken by the smallest
     (id_a, id_b) pair so the hierarchy is deterministic.
     """
-    active: Dict[int, Region] = {r.id: r for r in regions}
-    neighbors: Dict[int, Set[int]] = {r.id: set() for r in regions}
+    r = len(regions)
+    n = max(2 * r - 1, 0)
+    table = Regions(
+        *(
+            np.concatenate([col, np.zeros((n - r,) + col.shape[1:], col.dtype)])
+            for col in (regions.size, regions.boxes, regions.color, regions.texture)
+        )
+    )
+    neighbors: List[Set[int]] = [set() for _ in range(n)]
     for a, b in adjacency:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    sims: Dict[Tuple[int, int], float] = {
-        (a, b): similarity(active[a], active[b], image_area) for a, b in adjacency
-    }
+    # (-similarity, a, b) with a < b: the heap's minimum is the best pair
+    ia, ib = np.array(sorted(adjacency), dtype=np.int64).reshape(-1, 2).T
+    heap = list(zip((-similarity(table, ia, ib, image_area)).tolist(), ia.tolist(), ib.tolist()))
+    heapq.heapify(heap)
 
-    history: List[Region] = list(regions)
-    next_id = max(active) + 1 if active else 0
-    while len(active) > 1:
-        # highest similarity wins; ties favor the smallest id pair
-        best_pair = min(sims.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        a, b = best_pair
-        merged = _merge_regions(active[a], active[b], next_id)
-        next_id += 1
-        history.append(merged)
+    retired = [False] * n
+    new = r
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if retired[a] or retired[b]:
+            continue
+        retired[a] = retired[b] = True
+        size_a, size_b = int(table.size[a]), int(table.size[b])
+        size = size_a + size_b
+        table.size[new] = size
+        table.boxes[new, :2] = np.minimum(table.boxes[a, :2], table.boxes[b, :2])
+        table.boxes[new, 2:] = np.maximum(table.boxes[a, 2:], table.boxes[b, 2:])
+        wa, wb = size_a / size, size_b / size
+        table.color[new] = wa * table.color[a] + wb * table.color[b]
+        table.texture[new] = wa * table.texture[a] + wb * table.texture[b]
 
-        new_neighbors = (neighbors[a] | neighbors[b]) - {a, b}
-        for r in (a, b):
-            for nb in neighbors[r]:
-                sims.pop((min(r, nb), max(r, nb)), None)
-                neighbors[nb].discard(r)
-            del neighbors[r]
-            del active[r]
-        active[merged.id] = merged
-        neighbors[merged.id] = new_neighbors
-        for nb in new_neighbors:
-            neighbors[nb].add(merged.id)
-            key = (nb, merged.id) if nb < merged.id else (merged.id, nb)
-            sims[key] = similarity(active[nb], merged, image_area)
-    return history
+        joined = (neighbors[a] | neighbors[b]) - {a, b}
+        neighbors[new] = joined
+        for nb in joined:
+            neighbors[nb] -= {a, b}
+            neighbors[nb].add(new)
+        ids = np.array(sorted(joined), dtype=np.int64)
+        for s, nb in zip(similarity(table, ids, new, image_area).tolist(), ids.tolist()):
+            heapq.heappush(heap, (-s, nb, new))
+        new += 1
+    return Regions(table.size[:new], table.boxes[:new], table.color[:new], table.texture[:new])
 
 
-def selective_search(img: Image, cfg: SelectiveSearchConfig) -> List[Box]:
+def selective_search(
+    img: Image, k: float, min_size: int, sigma: float, max_boxes: int
+) -> List[Box]:
     """Generate candidate object boxes for one image.
 
     Runs the over-segmentation, then hierarchical grouping, and emits the
     bounding box of every region ever created, deduplicated, most recently
-    created first, truncated to cfg.max_boxes.
+    created first, truncated to max_boxes.
     """
-    seg = segment_graph(img, cfg.k, cfg.min_size, cfg.sigma)
-    regions = region_descriptors(img, seg)
-    adjacency = region_adjacency(seg)
-    history = hierarchical_grouping(regions, adjacency, float(img.width * img.height))
-
-    boxes: List[Box] = []
-    seen = set()
-    for region in reversed(history):
-        key = (region.bbox.x_min, region.bbox.y_min, region.bbox.x_max, region.bbox.y_max)
-        if key in seen:
-            continue
-        seen.add(key)
-        boxes.append(region.bbox)
-    return boxes[: cfg.max_boxes]
+    seg = segment_graph(img, k, min_size, sigma)
+    table = hierarchical_grouping(
+        region_descriptors(img, seg), region_adjacency(seg), float(img.width * img.height)
+    )
+    newest_first = dict.fromkeys(map(tuple, table.boxes[::-1].tolist()))
+    return [Box(*key) for key in list(newest_first)[:max_boxes]]

@@ -63,6 +63,24 @@ def test_read_checks_magic_version_and_kind(tmp_path):
         read_model(p, "pca")
 
 
+@pytest.mark.parametrize("version", ["x", "-1", "1.0", "", "+1"])
+def test_read_names_the_file_for_a_bad_version(tmp_path, version):
+    p = tmp_path / "m.txt"
+    p.write_text(f"fusedet-model {version} gmm\nend\n")
+    with pytest.raises(ValueError) as err:
+        read_model(p, "gmm")
+    assert str(err.value) == f"{p}: bad version {version!r}"
+
+
+@pytest.mark.parametrize("counts", ["-1 3", "2 -3", "x 3", "2 3.0", "2 "])
+def test_read_names_the_file_and_line_for_a_bad_array_header(tmp_path, counts):
+    p = tmp_path / "m.txt"
+    p.write_text(f"fusedet-model 1 gmm\nmeta k 2\narray w {counts}\n1 2 3\nend\n")
+    with pytest.raises(ValueError) as err:
+        read_model(p, "gmm")
+    assert str(err.value) == f"{p}:3: bad array header 'array w {counts}'"
+
+
 def test_read_rejects_malformed_bodies(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("fusedet-model 1 gmm\narray w 2 3\n1 2 3\n")

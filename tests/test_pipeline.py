@@ -49,6 +49,11 @@ def _micro_cfg():
     )
 
 
+# config-file lines that reproduce the codebook _micro_cfg fits, so a CLI run
+# with an otherwise default config may reuse the fixture's codebook
+MICRO_CODEBOOK = f"ifv.pca_dim = {_micro_cfg().ifv_pca_dim}\nifv.gmm_k = {_micro_cfg().ifv_gmm_k}\n"
+
+
 @pytest.fixture(scope="module")
 def pipe(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe")
@@ -230,7 +235,7 @@ def test_models_of_another_feature_width_fail_with_a_rerun_message(pipe, tmp_pat
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
     cfg_file = tmp_path / "cfg"
-    cfg_file.write_text("hog.cells_x = 3\n")
+    cfg_file.write_text("hog.cells_x = 3\n" + MICRO_CODEBOOK)
     expected = f"fusedet: error: {out / 'svm_hog.model'}: model scores 576-wide features but the data has 432; rerun 'train-svm'\n"
     for split, verb in (("test", "detect"), ("train", "train-fusion")):
         manifest = out / "data" / split / "manifest.txt"
@@ -248,7 +253,7 @@ def test_a_regressor_of_another_feature_width_fails_with_a_rerun_message(pipe, t
     hog_cfg.write_text("regress.channel = hog\n")
     assert _cli("train-regressor", train, out, "--config", str(hog_cfg)) == 0
     # every model but the regressor retrained on narrower HOG rows
-    hog_cfg.write_text("regress.channel = hog\nhog.cells_x = 3\n")
+    hog_cfg.write_text("regress.channel = hog\nhog.cells_x = 3\n" + MICRO_CODEBOOK)
     for verb, manifest in (("extract", train), ("extract", test), ("train-svm", train), ("train-fusion", train)):
         assert _cli(verb, manifest, out, "--config", str(hog_cfg)) == 0
     capsys.readouterr()
@@ -304,6 +309,22 @@ def test_old_layouts_and_malformed_banks_fail_with_a_rerun_message(pipe, tmp_pat
         )
         path.write_text(text)
 
+    # a corrupted version token, then a corrupted array header
+    path = out / "prior.model"
+    text = path.read_text()
+    path.write_text(text.replace("fusedet-model 1 linear-bank\n", "fusedet-model x linear-bank\n", 1))
+    assert _cli("detect", manifest, out) == 1
+    assert capsys.readouterr().err == f"fusedet: error: {path}: bad version 'x'; rerun 'train-prior'\n"
+    header = next(line for line in text.splitlines() if line.startswith("array "))
+    bad = " ".join(header.split()[:2] + ["-1", header.split()[3]])
+    lineno = text.splitlines().index(header) + 1
+    path.write_text(text.replace(header + "\n", bad + "\n", 1))
+    assert _cli("detect", manifest, out) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}:{lineno}: bad array header {bad!r}; rerun 'train-prior'\n"
+    )
+    path.write_text(text)
+
     # a fusion model whose means are one short of its 9 weights per row
     lines = (out / "fusion.model").read_text().splitlines(keepends=True)
     at = lines.index("array feature_means 1 9\n")
@@ -315,6 +336,42 @@ def test_old_layouts_and_malformed_banks_fail_with_a_rerun_message(pipe, tmp_pat
         f"fusedet: error: {out / 'fusion.model'}: not a valid linear bank: standardization needs 9 means "
         "and scales, got (8,) and (9,); rerun 'train-fusion'\n"
     )
+
+
+def test_extract_refuses_a_saved_codebook_of_another_shape(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    pca, gmm = out / "codebook_pca.model", out / "codebook_gmm.model"
+    # the fixture's codebook: 16 px patches (512 input dims), 16 output dims, 4 components
+    for keys, path, what, saved, key, want in (
+        ("ifv.pca_dim = 16\nifv.gmm_k = 8\n", gmm, "components", 4, "ifv.gmm_k", 8),
+        ("ifv.pca_dim = 8\nifv.gmm_k = 4\n", pca, "output dims", 16, "ifv.pca_dim", 8),
+        ("ifv.patch = 8\nifv.pca_dim = 16\nifv.gmm_k = 4\n", pca, "input dims", 512, "ifv.patch", 128),
+    ):
+        cfg_file.write_text(keys)
+        assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+        assert capsys.readouterr().err == (
+            f"fusedet: error: {path}: saved codebook has {saved} {what} where {key} asks for {want}; "
+            "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+        )
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+    cfg_file.write_text(MICRO_CODEBOOK)
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 0
+
+
+def test_hard_negative_mining_retrains_the_banks_reproducibly(pipe, tmp_path):
+    cfg = dataclasses.replace(pipe["cfg"], svm_hard_negatives=True, svm_hard_negative_count=50)
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        shutil.copytree(pipe["out"], out)
+        paths = stage_train_svm(cfg, out / "data" / "train" / "manifest.txt", out)
+        runs.append([path.read_bytes() for path in paths])
+    assert runs[0] == runs[1]
+    plain = [(pipe["out"] / path.name).read_bytes() for path in paths]
+    assert any(mined != base for mined, base in zip(runs[0], plain))
 
 
 def test_all_writes_the_whole_artifact_graph(pipe):
