@@ -8,8 +8,9 @@ rest of the code never has to re-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, TextIO
+from typing import Iterable, List, Optional, Sequence, TextIO
 
 
 @dataclass(frozen=True)
@@ -136,25 +137,38 @@ def write_detections(detections: Iterable[Detection], stream: TextIO) -> None:
         stream.write(format_detection(d) + "\n")
 
 
-def parse_detection_line(line: str, lineno: int = 0) -> Detection:
+def parse_detection_line(line: str, lineno: int = 0, source: Optional[str] = None) -> Detection:
+    """One dump line as a Detection. Every error is a ValueError prefixed
+    '<source>:<lineno>:', or 'line <lineno>:' when no source is named."""
+    where = f"{source}:{lineno}" if source is not None else f"line {lineno}"
     parts = line.split(" ")
     if len(parts) != 7:
-        raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+        raise ValueError(f"{where}: expected 7 fields, got {len(parts)}")
     image_id = parts[0]
+    if not image_id:
+        raise ValueError(f"{where}: empty image id")
     try:
         category_id = int(parts[1])
         score = float(parts[2])
         coords = [float(p) for p in parts[3:]]
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    return Detection(image_id, Box(*coords), category_id, score)
+        raise ValueError(f"{where}: {exc}") from None
+    if not all(math.isfinite(v) for v in [score, *coords]):
+        raise ValueError(f"{where}: non-finite score or coordinate")
+    try:
+        return Detection(image_id, Box(*coords), category_id, score)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def read_detections(stream: TextIO) -> List[Detection]:
+    """The detections of a dump; errors name the stream's file (its `name`,
+    when it has one) and the line."""
+    source = getattr(stream, "name", None)
     out = []
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        out.append(parse_detection_line(line, lineno))
+        out.append(parse_detection_line(line, lineno, source))
     return out

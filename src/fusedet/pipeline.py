@@ -364,9 +364,66 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     return path
 
 
+def cnn_sidecar_path(text_path) -> Path:
+    """The parsed cache beside a CNN features text: cnn_<tag>.txt -> cnn_<tag>.npz."""
+    return Path(text_path).with_suffix(".npz")
+
+
+def _read_sidecar(path: Path, digest: str):
+    """(index, matrix) from the sidecar at path if it was built from text of
+    this digest; None if it is absent, unreadable, malformed or stale."""
+    try:
+        arrays = cache.load_arrays(path)
+        ids, props, matrix = arrays["image_ids"], arrays["proposal_indices"], arrays["matrix"]
+        fresh = (
+            str(arrays["sha256"]) == digest
+            and ids.dtype.kind == "U"
+            and props.dtype == np.int64
+            and matrix.dtype == np.float64
+            and ids.ndim == props.ndim == 1
+            and matrix.ndim == 2
+            and len(ids) == len(props) == len(matrix) > 0
+        )
+    except Exception:  # a derived cache that cannot be read is rebuilt, never trusted
+        return None
+    return (dict(zip(zip(ids.tolist(), props.tolist()), range(len(matrix)))), matrix) if fresh else None
+
+
+def _parsed_cnn(path: Path):
+    """(index, matrix) of a CNN features text, as load_cnn_features returns them.
+
+    The text is parsed once per content: the parse is cached in a sidecar
+    (cnn_sidecar_path) keyed by the sha256 of the text's bytes, and later
+    reads of the same bytes load the sidecar instead. Text that changed, or a
+    sidecar that cannot be read, means a fresh parse, which rewrites the
+    sidecar; parse errors therefore always come from the text.
+    """
+    sidecar = cnn_sidecar_path(path)
+    digest = cache.file_sha256(path)
+    parsed = _read_sidecar(sidecar, digest)
+    if parsed is not None:
+        return parsed
+    index, matrix = load_cnn_features(path)
+    image_ids = [image_id for image_id, _ in index]
+    ids = np.array(image_ids, dtype=str)
+    # a fixed-width unicode array drops trailing NULs; ids it cannot hold
+    # exactly are left to the text parse rather than cached wrong
+    if ids.tolist() == image_ids:
+        cache.save_arrays(
+            sidecar,
+            {
+                "sha256": np.array(digest),
+                "image_ids": ids,
+                "proposal_indices": np.array([p for _, p in index], dtype=np.int64),
+                "matrix": matrix,
+            },
+        )
+    return index, matrix
+
+
 def _cnn_rows(path: Path, keys: Sequence[Tuple[str, int]]) -> np.ndarray:
     """The vectors of a CNN features file for (image_id, proposal_index) keys, in order."""
-    index, matrix = load_cnn_features(_require(path, "extract"))
+    index, matrix = _parsed_cnn(_require(path, "extract"))
     for image_id, proposal_index in keys:
         if (image_id, proposal_index) not in index:
             raise MissingArtifact(

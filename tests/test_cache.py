@@ -1,8 +1,12 @@
 """Binary array cache with reproducible bytes."""
 
-import numpy as np
+import hashlib
+import zipfile
 
-from fusedet.cache import load_arrays, save_arrays
+import numpy as np
+import pytest
+
+from fusedet.cache import file_sha256, load_arrays, save_arrays
 
 
 def test_round_trip_preserves_values_shapes_and_dtypes(tmp_path):
@@ -43,3 +47,29 @@ def test_identical_content_gives_identical_bytes(tmp_path):
     reloaded = load_arrays(tmp_path / "x.npz")
     save_arrays(tmp_path / "z.npz", reloaded)
     assert (tmp_path / "z.npz").read_bytes() == (tmp_path / "x.npz").read_bytes()
+
+
+def test_a_failed_save_leaves_the_old_file_and_no_temporaries(tmp_path):
+    path = tmp_path / "c.npz"
+    save_arrays(path, {"a": np.arange(4.0)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_arrays(path, {"a": np.ones(3), "b": np.array([{"pickled": 1}], dtype=object)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]
+
+
+def test_a_damaged_archive_raises_and_closes_its_file(tmp_path):
+    path = tmp_path / "c.npz"
+    save_arrays(path, {"a": np.arange(1000.0)})
+    path.write_bytes(path.read_bytes()[:100])
+    with pytest.raises(zipfile.BadZipFile):
+        load_arrays(path)  # an unclosed file would fail the suite as an unraisable warning
+
+
+def test_file_sha256_agrees_with_hashlib_across_read_blocks(tmp_path):
+    path = tmp_path / "blob"
+    for size in (0, 1, (1 << 20) - 1, (1 << 20) + 7):
+        blob = np.random.default_rng(size).bytes(size)
+        path.write_bytes(blob)
+        assert file_sha256(path) == hashlib.sha256(blob).hexdigest()

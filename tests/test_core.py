@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet.core import (
     Box,
@@ -207,3 +209,56 @@ def test_parse_detection_line_reports_line_number():
 def test_read_detections_skips_blank_lines():
     buf = io.StringIO("a 0 0.500000 0.000000 0.000000 1.000000 1.000000\n\n")
     assert len(read_detections(buf)) == 1
+
+
+_IMAGE_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda s: not any(c.isspace() for c in s)
+)
+_MICROS = st.integers(-(10**12), 10**12).map(lambda k: k / 1_000_000)  # exact at six decimals
+
+
+@st.composite
+def _dumped_detections(draw):
+    x0, y0 = draw(_MICROS), draw(_MICROS)
+    w, h = (draw(st.integers(1, 10**9)) / 1_000_000 for _ in range(2))
+    box = Box(x0, y0, float(f"{x0 + w:.6f}"), float(f"{y0 + h:.6f}"))
+    return Detection(draw(_IMAGE_IDS), box, draw(st.integers(0, 10**6)), draw(_MICROS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dets=st.lists(_dumped_detections(), max_size=8))
+def test_write_then_read_detections_round_trips_any_dump(dets):
+    buf = io.StringIO()
+    write_detections(dets, buf)
+    buf.seek(0)
+    assert read_detections(buf) == dets
+
+
+_GOOD = "a 0 0.500000 0.000000 0.000000 1.000000 1.000000"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("a 0 0.5 0 0", "expected 7 fields, got 5"),
+        ("a 0 0.5 0 0 1 1 1", "expected 7 fields, got 8"),
+        ("a  0 0.5 0 0 1 1", "expected 7 fields, got 8"),
+        (" 0 0.5 0 0 1 1", "empty image id"),
+        ("a zero 0.5 0 0 1 1", "invalid literal for int"),
+        ("a 0 high 0 0 1 1", "could not convert string to float"),
+        ("a 0 nan 0 0 1 1", "non-finite score or coordinate"),
+        ("a 0 inf 0 0 1 1", "non-finite score or coordinate"),
+        ("a 0 0.5 0 0 inf 1", "non-finite score or coordinate"),
+        ("a 0 0.5 -inf 0 1 1", "non-finite score or coordinate"),
+        ("a 0 0.5 0 nan 1 1", "non-finite score or coordinate"),
+        ("a 0 0.5 1 0 1 1", "box must have positive area"),
+        ("a 0 0.5 0 2 1 1", "box must have positive area"),
+        ("a -1 0.5 0 0 1 1", "category_id must be non-negative"),
+    ],
+)
+def test_a_malformed_detection_line_names_the_file_and_line(tmp_path, bad, message):
+    path = tmp_path / "dets.txt"
+    path.write_text(f"{_GOOD}\n\n{bad}\n{_GOOD}\n")
+    with open(path) as fh, pytest.raises(ValueError) as err:
+        read_detections(fh)
+    assert str(err.value).startswith(f"{path}:3: {message}")

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusedet import cli, pipeline
-from fusedet.cache import load_arrays, save_arrays
+from fusedet.cache import file_sha256, load_arrays, save_arrays
 from fusedet.config import PipelineConfig
 from fusedet.core import Box
 from fusedet.evaluation import mean_ap, read_report
-from fusedet.features.cnn import load_cnn_features
+from fusedet.features.cnn import load_cnn_features, write_cnn_features
 from fusedet.images import box_corners, read_pnm
 from fusedet.manifest import DatasetManifest, read_manifest, write_manifest
 from fusedet.pipeline import (
@@ -225,6 +225,150 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
     with pytest.raises(MissingArtifact) as err:
         pipeline.stage_train_prior(cfg, manifest, out)
     assert str(err.value) == expected
+
+
+# ------------------------------------------------------------ CNN sidecars
+
+
+def _count_parses(monkeypatch):
+    """Counts the text parses the pipeline makes from here on."""
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_cnn_features(path)
+
+    monkeypatch.setattr(pipeline, "load_cnn_features", counted)
+    return calls
+
+
+def _assert_same_parse(parsed, path):
+    index, matrix = load_cnn_features(path)
+    assert parsed[0] == index
+    assert parsed[1].dtype == np.float64
+    assert parsed[1].shape == matrix.shape
+    assert parsed[1].tobytes() == matrix.tobytes()
+
+
+def _sidecar_of(path):
+    return pipeline._read_sidecar(pipeline.cnn_sidecar_path(path), file_sha256(path))
+
+
+def test_sidecar_names_sit_beside_their_texts(tmp_path):
+    assert pipeline.cnn_sidecar_path(pipeline.cnn_path(tmp_path, "t")) == tmp_path / "cnn_t.npz"
+    assert pipeline.cnn_sidecar_path(pipeline.cnn_images_path(tmp_path, "t")) == tmp_path / "cnn_images_t.npz"
+
+
+def test_replaced_embeddings_are_read_through_a_stale_sidecar(pipe, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    text = out / "cnn_train.txt"
+    assert pipeline.cnn_sidecar_path(text).exists()
+    index, matrix = load_cnn_features(text)
+    replaced = [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()]
+    write_cnn_features(text, replaced)
+
+    calls = _count_parses(monkeypatch)
+    data = pipeline._stage_inputs(pipe["train_manifest"], out, None)
+    keys = [(data.man.images[i].image_id, int(p)) for i, p in zip(data.feats["row_image"], data.feats["row_proposal"])]
+    assert data.channels["cnn"].tobytes() == np.stack([2.0 * matrix[index[k]] + 1.0 for k in keys]).tobytes()
+    assert len(calls) == 1
+    _assert_same_parse(_sidecar_of(text), text)
+
+
+_SIDECAR_IDS = st.text(alphabet="ab_09.-\x00", min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_SIDECAR_IDS, st.integers(0, 2**40)), min_size=1, max_size=10, unique=True),
+    width=st.integers(1, 5),
+    data=st.data(),
+)
+def test_the_sidecar_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, data):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    records = [(i, p, np.array(data.draw(st.lists(values, min_size=width, max_size=width)))) for i, p in keys]
+    path = tmp_path_factory.mktemp("cnn") / "cnn_t.txt"
+    write_cnn_features(path, records)
+    _assert_same_parse(pipeline._parsed_cnn(path), path)
+    if any(image_id.endswith("\x00") for image_id, _ in keys):
+        # a fixed-width unicode array cannot hold a trailing NUL: no sidecar
+        assert not pipeline.cnn_sidecar_path(path).exists()
+    else:
+        _assert_same_parse(_sidecar_of(path), path)
+    _assert_same_parse(pipeline._parsed_cnn(path), path)
+
+
+def test_sidecars_of_extract_output_hold_its_parse_bit_for_bit(pipe, tmp_path):
+    for name in ("cnn_train.txt", "cnn_test.txt", "cnn_images_train.txt", "cnn_images_test.txt"):
+        text = tmp_path / name
+        shutil.copy(pipe["out"] / name, text)
+        pipeline._parsed_cnn(text)
+        _assert_same_parse(_sidecar_of(text), text)
+        stage_written = pipeline.cnn_sidecar_path(pipe["out"] / name)
+        if stage_written.exists():
+            assert stage_written.read_bytes() == pipeline.cnn_sidecar_path(text).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "empty", "wrong_members"])
+def test_an_unreadable_sidecar_is_rebuilt_from_the_text(pipe, tmp_path, monkeypatch, damage):
+    text = tmp_path / "cnn_train.txt"
+    shutil.copy(pipe["out"] / "cnn_train.txt", text)
+    sidecar = pipeline.cnn_sidecar_path(text)
+    pipeline._parsed_cnn(text)
+    good = sidecar.read_bytes()
+    if damage == "truncate":
+        sidecar.write_bytes(good[: len(good) // 2])
+    elif damage == "garbage":
+        sidecar.write_bytes(b"not a zip archive\n")
+    elif damage == "empty":
+        sidecar.write_bytes(b"")
+    else:
+        arrays = load_arrays(sidecar)
+        del arrays["matrix"]
+        save_arrays(sidecar, arrays)
+
+    calls = _count_parses(monkeypatch)
+    _assert_same_parse(pipeline._parsed_cnn(text), text)
+    assert len(calls) == 1
+    assert sidecar.read_bytes() == good
+    pipeline._parsed_cnn(text)
+    assert len(calls) == 1
+
+
+def test_malformed_text_beside_a_valid_sidecar_fails_with_its_line(pipe, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    text = out / "cnn_train.txt"
+    assert _sidecar_of(text) is not None
+    lines = text.read_text().splitlines(keepends=True)
+    lines.insert(2, "img 0 1.0 oops\n")
+    text.write_text("".join(lines))
+    with pytest.raises(ValueError) as direct:
+        load_cnn_features(text)
+    assert str(direct.value) == f"{text}:3: malformed feature value"
+    with pytest.raises(ValueError) as staged:
+        stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
+    assert str(staged.value) == str(direct.value)
+
+
+def _snapshot(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_rerunning_train_svm_is_byte_identical_sidecar_included(pipe, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    pipeline.cnn_sidecar_path(out / "cnn_train.txt").unlink()
+    stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
+    first = _snapshot(out)
+    assert "cnn_train.npz" in first
+
+    calls = _count_parses(monkeypatch)
+    stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
+    assert calls == []
+    assert _snapshot(out) == first
+    assert first["cnn_train.npz"] == (pipe["out"] / "cnn_train.npz").read_bytes()
 
 
 def _cli(verb, manifest, out, *extra):
@@ -555,6 +699,18 @@ def test_eval_accepts_custom_detection_and_report_files(pipe, tmp_path):
     )
     assert got == custom_report
     assert custom_report.read_bytes() == (out / "report_test.txt").read_bytes()
+
+
+def test_eval_names_the_file_and_line_of_a_bad_detection(pipe, tmp_path, capsys):
+    dets = tmp_path / "dets.txt"
+    lines = (pipe["out"] / "detections_test.txt").read_text().splitlines(keepends=True)
+    image_id = lines[0].split()[0]
+    lines.insert(1, f"{image_id} 0 0.5 4.0 4.0 4.0 9.0\n")
+    dets.write_text("".join(lines))
+    assert _cli("eval", pipe["test_manifest"], tmp_path, "--detections", str(dets)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fusedet: error: {dets}:2: box must have positive area")
+    assert err.count("\n") == 1
 
 
 def test_render_writes_an_overlay_per_image(pipe):
