@@ -8,8 +8,9 @@ pickled. A file is written under a temporary name in its own directory and
 then renamed over the target, so an interrupted write never leaves a
 truncated archive behind.
 
-`file_sha256` is the digest derived caches are keyed by: a cache built from
-a file stores that file's digest and is used only while the digest matches.
+`file_sha256` is the digest that parsed copies of text files are keyed by:
+the features archive stores the digest of each CNN text whose rows it holds,
+and the rows are used only while the text's digest still matches.
 """
 
 from __future__ import annotations

@@ -238,13 +238,15 @@ class LinearBank:
 
 
 def fuse_scores(cnn: np.ndarray, hog: np.ndarray, ifv: np.ndarray) -> np.ndarray:
-    parts = [np.asarray(v, dtype=np.float64).ravel() for v in (cnn, hog, ifv)]
-    n = parts[0].shape[0]
-    if any(p.shape[0] != n for p in parts):
-        raise ValueError(
-            f"channel score lengths differ: {[p.shape[0] for p in parts]}"
-        )
-    return np.concatenate(parts)
+    """The fused layout: the (cnn, hog, ifv) scores of N categories side by
+    side on the last axis, N scores giving 3N and (m, N) rows giving (m, 3N)."""
+    parts = [np.asarray(v, dtype=np.float64) for v in (cnn, hog, ifv)]
+    shapes = [p.shape for p in parts]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError(f"channel score lengths differ: {shapes}")
+    if parts[0].ndim not in (1, 2):
+        raise ValueError(f"channel scores must be 1-D or (m, N), got shape {shapes[0]}")
+    return np.concatenate(parts, axis=-1)
 
 
 def mine_hard_negatives(model: LinearModel, negatives: np.ndarray, count: int) -> np.ndarray:

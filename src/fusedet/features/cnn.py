@@ -8,10 +8,11 @@ The vector width M is fixed by the first record; image_id must not contain
 whitespace. Records are keyed by (image_id, proposal_index).
 
 The text is the interchange format and the only source of truth. The
-pipeline parses each text once per content: it caches the parse in a
-`.npz` sidecar beside the text, keyed by the sha256 of the text's bytes
-(`pipeline.cnn_sidecar_path`), and parses again whenever the digest
-differs, so every error below is still raised from the text.
+pipeline parses each text once per content: the features archive of the
+split (`features_<tag>.npz`) holds the parsed rows next to the HOG and
+Fisher rows, together with the sha256 of the text's bytes, and a stage
+parses the text again only when its digest differs, so every error below
+is still raised from the text.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ power normalization and global L2 normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,6 +21,16 @@ from .. import modelio
 
 _EPS = 1e-12
 DEFAULT_VARIANCE_FLOOR = 1e-4
+
+
+def _codebook_arrays(path, kind: str, names: Sequence[str]) -> List[np.ndarray]:
+    """The named arrays of a codebook file of this kind; ValueError naming
+    the file if one is missing."""
+    _, arrays = modelio.read_model(path, kind)
+    for name in names:
+        if name not in arrays:
+            raise ValueError(f"{path}: not a valid codebook: no {name!r} array")
+    return [arrays[name] for name in names]
 
 
 @dataclass
@@ -37,8 +47,11 @@ class PcaModel:
 
     @classmethod
     def load(cls, path) -> "PcaModel":
-        _, arrays = modelio.read_model(path, "pca")
-        return cls(mean=arrays["mean"][0], basis=arrays["basis"])
+        """The PCA saved at path; ValueError naming the file if it holds none."""
+        mean, basis = _codebook_arrays(path, "pca", ("mean", "basis"))
+        if mean.shape != (1, basis.shape[0]):
+            raise ValueError(f"{path}: not a valid codebook: mean {mean.shape} does not fit basis {basis.shape}")
+        return cls(mean=mean[0], basis=basis)
 
 
 @dataclass
@@ -66,12 +79,14 @@ class GmmModel:
 
     @classmethod
     def load(cls, path) -> "GmmModel":
-        _, arrays = modelio.read_model(path, "gmm")
-        return cls(
-            weights=arrays["weights"][0],
-            means=arrays["means"],
-            variances=arrays["variances"],
-        )
+        """The mixture saved at path; ValueError naming the file if it holds none."""
+        weights, means, variances = _codebook_arrays(path, "gmm", ("weights", "means", "variances"))
+        if weights.shape[0] != 1 or means.shape != variances.shape or len(means) != weights.shape[1]:
+            raise ValueError(
+                f"{path}: not a valid codebook: weights {weights.shape}, means {means.shape} "
+                f"and variances {variances.shape} disagree"
+            )
+        return cls(weights=weights[0], means=means, variances=variances)
 
 
 def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray:

@@ -14,13 +14,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import zipfile
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cache, modelio
-from .classify import LinearBank, mine_hard_negatives, train_fusion, train_svm
+from .classify import LinearBank, fuse_scores, mine_hard_negatives, train_fusion, train_svm
 from .config import PipelineConfig, config_digest
 from .context import (
     filter_detections,
@@ -265,8 +266,12 @@ def extract_image(
 
 def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[PcaModel, GmmModel]:
     pca_file, gmm_file = codebook_paths(out_dir)
+    refit = f"delete {pca_file.name} and {gmm_file.name} and rerun 'extract' on the training split"
     if pca_file.exists() and gmm_file.exists():
-        pca, gmm = PcaModel.load(pca_file), GmmModel.load(gmm_file)
+        try:
+            pca, gmm = PcaModel.load(pca_file), GmmModel.load(gmm_file)
+        except ValueError as exc:
+            raise MissingArtifact(f"{exc}; {refit}") from None
         for path, what, saved, key, want in (
             (pca_file, "input dims", pca.basis.shape[0], "ifv.patch", 2 * cfg.ifv_patch**2),
             (pca_file, "output dims", pca.dim, "ifv.pca_dim", cfg.ifv_pca_dim),
@@ -274,8 +279,7 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
         ):
             if saved != want:
                 raise MissingArtifact(
-                    f"{path}: saved codebook has {saved} {what} where {key} asks for {want}; "
-                    f"delete {pca_file.name} and {gmm_file.name} and rerun 'extract' on the training split"
+                    f"{path}: saved codebook has {saved} {what} where {key} asks for {want}; {refit}"
                 )
         return pca, gmm
 
@@ -333,28 +337,42 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     hog_rows = np.empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
     ifv_rows = np.empty((n, ifv_length), np.float32)
     prior_rows = np.empty((len(man.images), ifv_length), np.float32)
+    cnn_rows = prior_cnn = np.empty((0, 0))
     cnn_records: List[Tuple[str, int, np.ndarray]] = []
     image_records: List[Tuple[str, int, np.ndarray]] = []
 
     for i, im in enumerate(man.images):
         img = read_pnm(man.resolved_path(im))
+        if i == 0:
+            first, channels = im.image_id, img.channels
+            cnn_rows = np.empty((n, channels * CNN_EMBED_SIDE**2))
+            prior_cnn = np.empty((len(man.images), channels * CNN_EMBED_SIDE**2))
+        elif img.channels != channels:
+            raise ValueError(
+                f"{manifest_path}: image {first} has {channels} channels but image {im.image_id} has "
+                f"{img.channels}; the images of one split must share a channel count"
+            )
         rows = slice(starts[i], starts[i] + counts[i])
-        embeddings = np.empty((counts[i], img.channels * CNN_EMBED_SIDE**2))
         windows = box_corners(props[im.image_id])
         box_rows[rows] = windows
-        prior_rows[i], image_embedding = extract_image(
-            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], embeddings
+        prior_rows[i], prior_cnn[i] = extract_image(
+            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
-        cnn_records.extend((im.image_id, p, v) for p, v in enumerate(embeddings))
-        image_records.append((im.image_id, 0, image_embedding))
+        cnn_records.extend((im.image_id, p, v) for p, v in enumerate(cnn_rows[rows]))
+        image_records.append((im.image_id, 0, prior_cnn[i]))
 
-    write_cnn_features(cnn_path(out_dir, tag), cnn_records)
-    write_cnn_features(cnn_images_path(out_dir, tag), image_records)
+    cnn_text, images_text = cnn_path(out_dir, tag), cnn_images_path(out_dir, tag)
+    write_cnn_features(cnn_text, cnn_records)
+    write_cnn_features(images_text, image_records)
     arrays = {
         "boxes": box_rows,
         "hog": hog_rows,
         "ifv": ifv_rows,
+        "cnn": cnn_rows,
+        "cnn_sha256": np.array(cache.file_sha256(cnn_text)),
         "prior_ifv": prior_rows,
+        "prior_cnn": prior_cnn,
+        "prior_cnn_sha256": np.array(cache.file_sha256(images_text)),
         "row_image": np.repeat(np.arange(len(counts)), counts).astype(np.int32),
         "row_proposal": (np.arange(n) - np.repeat(starts, counts)).astype(np.int32),
     }
@@ -364,72 +382,45 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     return path
 
 
-def cnn_sidecar_path(text_path) -> Path:
-    """The parsed cache beside a CNN features text: cnn_<tag>.txt -> cnn_<tag>.npz."""
-    return Path(text_path).with_suffix(".npz")
-
-
-def _read_sidecar(path: Path, digest: str):
-    """(index, matrix) from the sidecar at path if it was built from text of
-    this digest; None if it is absent, unreadable, malformed or stale."""
+def _load_features(path: Path) -> Dict[str, np.ndarray]:
+    """The features archive extract wrote at path. A missing, unreadable or
+    boxless one raises MissingArtifact naming the file and 'extract'."""
     try:
-        arrays = cache.load_arrays(path)
-        ids, props, matrix = arrays["image_ids"], arrays["proposal_indices"], arrays["matrix"]
-        fresh = (
-            str(arrays["sha256"]) == digest
-            and ids.dtype.kind == "U"
-            and props.dtype == np.int64
-            and matrix.dtype == np.float64
-            and ids.ndim == props.ndim == 1
-            and matrix.ndim == 2
-            and len(ids) == len(props) == len(matrix) > 0
-        )
-    except Exception:  # a derived cache that cannot be read is rebuilt, never trusted
-        return None
-    return (dict(zip(zip(ids.tolist(), props.tolist()), range(len(matrix)))), matrix) if fresh else None
+        feats = cache.load_arrays(_require(path, "extract"))
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
+        raise MissingArtifact(f"{path}: not a readable features archive; rerun 'extract'") from None
+    if "boxes" not in feats:
+        raise MissingArtifact(f"{path}: archive holds no proposal boxes; rerun 'extract'")
+    return feats
 
 
-def _parsed_cnn(path: Path):
-    """(index, matrix) of a CNN features text, as load_cnn_features returns them.
+def _cnn_member(
+    path: Path, feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]
+) -> np.ndarray:
+    """feats[name], the rows of the features archive at path that hold the
+    vectors of the CNN features file text for the (image_id, proposal_index)
+    keys, in order.
 
-    The text is parsed once per content: the parse is cached in a sidecar
-    (cnn_sidecar_path) keyed by the sha256 of the text's bytes, and later
-    reads of the same bytes load the sidecar instead. Text that changed, or a
-    sidecar that cannot be read, means a fresh parse, which rewrites the
-    sidecar; parse errors therefore always come from the text.
+    The text is the source of truth. The archive keeps its parse with the
+    sha256 of its bytes (feats[name + "_sha256"]) and serves the rows while
+    that matches. Otherwise (replaced embeddings, or an archive older than
+    its CNN rows) the text is parsed, checked to hold every key, and its rows
+    and digest are stored in feats and rewritten to the archive; errors thus
+    come from the text, and a failed parse writes nothing.
     """
-    sidecar = cnn_sidecar_path(path)
-    digest = cache.file_sha256(path)
-    parsed = _read_sidecar(sidecar, digest)
-    if parsed is not None:
-        return parsed
-    index, matrix = load_cnn_features(path)
-    image_ids = [image_id for image_id, _ in index]
-    ids = np.array(image_ids, dtype=str)
-    # a fixed-width unicode array drops trailing NULs; ids it cannot hold
-    # exactly are left to the text parse rather than cached wrong
-    if ids.tolist() == image_ids:
-        cache.save_arrays(
-            sidecar,
-            {
-                "sha256": np.array(digest),
-                "image_ids": ids,
-                "proposal_indices": np.array([p for _, p in index], dtype=np.int64),
-                "matrix": matrix,
-            },
-        )
-    return index, matrix
-
-
-def _cnn_rows(path: Path, keys: Sequence[Tuple[str, int]]) -> np.ndarray:
-    """The vectors of a CNN features file for (image_id, proposal_index) keys, in order."""
-    index, matrix = _parsed_cnn(_require(path, "extract"))
+    digest = cache.file_sha256(_require(text, "extract"))
+    if name in feats and str(feats.get(name + "_sha256")) == digest:
+        return feats[name]
+    index, matrix = load_cnn_features(text)
     for image_id, proposal_index in keys:
         if (image_id, proposal_index) not in index:
             raise MissingArtifact(
-                f"{path}: no vector for image {image_id} proposal {proposal_index}; rerun 'extract'"
+                f"{text}: no vector for image {image_id} proposal {proposal_index}; rerun 'extract'"
             )
-    return matrix[[index[key] for key in keys]]
+    feats[name] = matrix[[index[key] for key in keys]]
+    feats[name + "_sha256"] = np.array(digest)
+    cache.save_arrays(path, feats)
+    return feats[name]
 
 
 class _StageInputs(NamedTuple):
@@ -448,14 +439,10 @@ def _stage_inputs(manifest_path, out_dir, tag: Optional[str]) -> _StageInputs:
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     man = read_manifest(manifest_path)
-    path = _require(features_path(out_dir, tag), "extract")
-    feats = cache.load_arrays(path)
-    if "boxes" not in feats:
-        raise MissingArtifact(f"{path}: archive holds no proposal boxes; rerun 'extract'")
-    cnn = _cnn_rows(
-        cnn_path(out_dir, tag),
-        [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])],
-    )
+    path = features_path(out_dir, tag)
+    feats = _load_features(path)
+    keys = [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])]
+    cnn = _cnn_member(path, feats, "cnn", cnn_path(out_dir, tag), keys)
     channels = {"cnn": cnn, "hog": feats["hog"], "ifv": feats["ifv"]}
     return _StageInputs(tag, out_dir, man, feats, channels)
 
@@ -565,7 +552,7 @@ def _load_banks(data: _StageInputs) -> Dict[str, LinearBank]:
 
 def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, LinearBank]) -> np.ndarray:
     """Fused (cnn, hog, ifv) score matrix for every feature row."""
-    return np.concatenate([banks[ch].scores(channels[ch]) for ch in CHANNELS], axis=1)
+    return fuse_scores(*(banks[ch].scores(channels[ch]) for ch in CHANNELS))
 
 
 def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
@@ -615,11 +602,13 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
 def _prior_features(cfg, man, out_dir, tag, feats=None) -> np.ndarray:
     """Whole-image prior feature of every image, in manifest order; feats is
     the features archive of tag when the caller has already read it."""
+    path = features_path(out_dir, tag)
+    if feats is None:
+        feats = _load_features(path)
     if cfg.prior_feature == "ifv":
-        if feats is None:
-            feats = cache.load_arrays(_require(features_path(out_dir, tag), "extract"))
         return feats["prior_ifv"].astype(np.float64)
-    return _cnn_rows(cnn_images_path(out_dir, tag), [(im.image_id, 0) for im in man.images])
+    keys = [(im.image_id, 0) for im in man.images]
+    return _cnn_member(path, feats, "prior_cnn", cnn_images_path(out_dir, tag), keys)
 
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:

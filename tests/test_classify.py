@@ -314,6 +314,21 @@ def test_fuse_scores_single_category_and_mismatch():
         fuse_scores([1.0, 2.0], [3.0], [4.0])
 
 
+def test_fuse_scores_of_score_rows_concatenates_on_the_last_axis():
+    rng = np.random.default_rng(0)
+    cnn, hog, ifv = (rng.standard_normal((4, 3)) for _ in range(3))
+    fused = fuse_scores(cnn, hog, ifv)
+    assert fused.shape == (4, 9)
+    for r in range(4):
+        assert np.array_equal(fused[r], fuse_scores(cnn[r], hog[r], ifv[r]))
+    with pytest.raises(ValueError, match="lengths differ"):
+        fuse_scores(cnn, hog, ifv[:, :2])
+    with pytest.raises(ValueError, match="lengths differ"):
+        fuse_scores(cnn, hog, ifv[:3])
+    with pytest.raises(ValueError, match="must be 1-D or"):
+        fuse_scores(cnn[None], hog[None], ifv[None])
+
+
 def test_mine_hard_negatives_hand_case_and_bounds():
     model = LinearModel(weights=np.array([1.0]), bias=0.0)
     negatives = np.array([[3.0], [1.0], [5.0], [5.0], [2.0]])

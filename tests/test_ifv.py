@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fusedet import modelio
 from fusedet.features.ifv import (
     GmmModel,
+    PcaModel,
     dense_descriptors,
     fisher_encode,
     fisher_length,
@@ -330,3 +332,35 @@ def test_fisher_checks_descriptor_dimension():
     gmm = _random_gmm(rng, 3, 5)
     with pytest.raises(ValueError, match="dim"):
         fisher_encode(rng.normal(size=(4, 7)), gmm)
+
+
+# ------------------------------------------------------------ codebook files
+
+
+@pytest.mark.parametrize(
+    "kind, arrays, why",
+    [
+        ("pca", {"basis": np.eye(2)}, "no 'mean' array"),
+        ("pca", {"mean": np.zeros((1, 2))}, "no 'basis' array"),
+        ("pca", {"mean": np.zeros((1, 3)), "basis": np.eye(2)}, "mean (1, 3) does not fit basis (2, 2)"),
+        ("gmm", {"weights": np.ones((1, 2)), "variances": np.ones((2, 3))}, "no 'means' array"),
+        (
+            "gmm",
+            {"weights": np.ones((1, 2)), "means": np.zeros((2, 3)), "variances": np.ones((2, 4))},
+            "weights (1, 2), means (2, 3) and variances (2, 4) disagree",
+        ),
+        (
+            "gmm",
+            {"weights": np.ones((1, 3)), "means": np.zeros((2, 3)), "variances": np.ones((2, 3))},
+            "weights (1, 3), means (2, 3) and variances (2, 3) disagree",
+        ),
+    ],
+    ids=["pca-no-mean", "pca-no-basis", "pca-mean-width", "gmm-no-means", "gmm-variance-width", "gmm-weight-count"],
+)
+def test_malformed_codebook_files_name_themselves(tmp_path, kind, arrays, why):
+    path = tmp_path / f"{kind}.model"
+    modelio.write_model(path, kind, {}, arrays)
+    load = PcaModel.load if kind == "pca" else GmmModel.load
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: not a valid codebook: {why}"

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusedet import cli, pipeline
+from fusedet import cli, modelio, pipeline
 from fusedet.cache import file_sha256, load_arrays, save_arrays
 from fusedet.config import PipelineConfig
 from fusedet.core import Box
 from fusedet.evaluation import mean_ap, read_report
 from fusedet.features.cnn import load_cnn_features, write_cnn_features
-from fusedet.images import box_corners, read_pnm
+from fusedet.images import Image, box_corners, read_pnm, write_pnm
 from fusedet.manifest import DatasetManifest, read_manifest, write_manifest
 from fusedet.pipeline import (
     MissingArtifact,
@@ -58,20 +58,23 @@ MICRO_CODEBOOK = f"ifv.pca_dim = {_micro_cfg().ifv_pca_dim}\nifv.gmm_k = {_micro
 def pipe(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe")
     cfg = _micro_cfg()
-    report = stage_all(
-        cfg,
-        out,
-        train_images=8,
-        test_images=8,
-        classes=3,
-        max_shapes=2,
-        noise=0.3,
-        image_size=64,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        parses = _count_parses(mp)
+        report = stage_all(
+            cfg,
+            out,
+            train_images=8,
+            test_images=8,
+            classes=3,
+            max_shapes=2,
+            noise=0.3,
+            image_size=64,
+        )
     return {
         "cfg": cfg,
         "out": out,
         "report": report,
+        "parses": parses,
         "train_manifest": out / "data" / "train" / "manifest.txt",
         "test_manifest": out / "data" / "test" / "manifest.txt",
     }
@@ -227,7 +230,7 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
     assert str(err.value) == expected
 
 
-# ------------------------------------------------------------ CNN sidecars
+# ------------------------------------------------- CNN rows in the archive
 
 
 def _count_parses(monkeypatch):
@@ -242,105 +245,134 @@ def _count_parses(monkeypatch):
     return calls
 
 
-def _assert_same_parse(parsed, path):
-    index, matrix = load_cnn_features(path)
-    assert parsed[0] == index
-    assert parsed[1].dtype == np.float64
-    assert parsed[1].shape == matrix.shape
-    assert parsed[1].tobytes() == matrix.tobytes()
+def _row_keys(feats, man):
+    return [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])]
 
 
-def _sidecar_of(path):
-    return pipeline._read_sidecar(pipeline.cnn_sidecar_path(path), file_sha256(path))
+def _parsed_rows(text, keys):
+    """The float64 vectors of a CNN features text for keys, in order."""
+    index, matrix = load_cnn_features(text)
+    return matrix[[index[key] for key in keys]]
 
 
-def test_sidecar_names_sit_beside_their_texts(tmp_path):
-    assert pipeline.cnn_sidecar_path(pipeline.cnn_path(tmp_path, "t")) == tmp_path / "cnn_t.npz"
-    assert pipeline.cnn_sidecar_path(pipeline.cnn_images_path(tmp_path, "t")) == tmp_path / "cnn_images_t.npz"
+def _assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
-def test_replaced_embeddings_are_read_through_a_stale_sidecar(pipe, tmp_path, monkeypatch):
+def test_a_full_synth_run_parses_no_cnn_text(pipe):
+    assert pipe["parses"] == []
+    assert sorted(path.name for path in pipe["out"].glob("cnn_*")) == [
+        "cnn_images_test.txt",
+        "cnn_images_train.txt",
+        "cnn_test.txt",
+        "cnn_train.txt",
+    ]
+
+
+def test_extract_stores_the_parse_of_its_texts_bit_for_bit(pipe):
+    for split in ("train", "test"):
+        feats = load_arrays(pipe["out"] / f"features_{split}.npz")
+        man = read_manifest(pipe["out"] / "data" / split / "manifest.txt")
+        for name, text, keys in (
+            ("cnn", pipe["out"] / f"cnn_{split}.txt", _row_keys(feats, man)),
+            ("prior_cnn", pipe["out"] / f"cnn_images_{split}.txt", [(im.image_id, 0) for im in man.images]),
+        ):
+            _assert_same_bits(feats[name], _parsed_rows(text, keys))
+            assert str(feats[name + "_sha256"]) == file_sha256(text)
+
+
+def test_replaced_embeddings_are_imported_into_the_archive_once(pipe, tmp_path, monkeypatch):
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
-    text = out / "cnn_train.txt"
-    assert pipeline.cnn_sidecar_path(text).exists()
-    index, matrix = load_cnn_features(text)
-    replaced = [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()]
-    write_cnn_features(text, replaced)
+    manifest = out / "data" / "train" / "manifest.txt"
+    archive = out / "features_train.npz"
+    for name in ("cnn_train.txt", "cnn_images_train.txt"):
+        index, matrix = load_cnn_features(out / name)
+        write_cnn_features(out / name, [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()])
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    feats = load_arrays(archive)
+    keys = _row_keys(feats, read_manifest(manifest))
+    replaced = _parsed_rows(out / "cnn_train.txt", keys)
+    assert not np.array_equal(replaced, feats["cnn"])
 
     calls = _count_parses(monkeypatch)
-    data = pipeline._stage_inputs(pipe["train_manifest"], out, None)
-    keys = [(data.man.images[i].image_id, int(p)) for i, p in zip(data.feats["row_image"], data.feats["row_proposal"])]
-    assert data.channels["cnn"].tobytes() == np.stack([2.0 * matrix[index[k]] + 1.0 for k in keys]).tobytes()
-    assert len(calls) == 1
-    _assert_same_parse(_sidecar_of(text), text)
+    data = pipeline._stage_inputs(manifest, out, None)
+    _assert_same_bits(data.channels["cnn"], replaced)
+    assert calls == [out / "cnn_train.txt"]
+    stored = load_arrays(archive)
+    _assert_same_bits(stored["cnn"], replaced)
+    assert str(stored["cnn_sha256"]) == file_sha256(out / "cnn_train.txt")
+
+    for stage in (pipeline.stage_train_svm, pipeline.stage_train_prior, pipeline.stage_train_fusion):
+        stage(cfg, manifest, out)
+    assert calls == [out / "cnn_train.txt", out / "cnn_images_train.txt"]
+    stored = load_arrays(archive)
+    images = [(im.image_id, 0) for im in read_manifest(manifest).images]
+    _assert_same_bits(stored["prior_cnn"], _parsed_rows(out / "cnn_images_train.txt", images))
+    assert str(stored["prior_cnn_sha256"]) == file_sha256(out / "cnn_images_train.txt")
+    for name in ("boxes", "hog", "ifv", "prior_ifv", "row_image", "row_proposal"):
+        assert stored[name].tobytes() == feats[name].tobytes(), name
 
 
-_SIDECAR_IDS = st.text(alphabet="ab_09.-\x00", min_size=1, max_size=5)
+_IMAGE_IDS = st.text(alphabet="ab_09.-\x00", min_size=1, max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    keys=st.lists(st.tuples(_SIDECAR_IDS, st.integers(0, 2**40)), min_size=1, max_size=10, unique=True),
+    keys=st.lists(st.tuples(_IMAGE_IDS, st.integers(0, 2**40)), min_size=1, max_size=10, unique=True),
     width=st.integers(1, 5),
     data=st.data(),
 )
-def test_the_sidecar_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, data):
+def test_the_archive_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, data):
     values = st.floats(allow_nan=False, allow_infinity=False)
     records = [(i, p, np.array(data.draw(st.lists(values, min_size=width, max_size=width)))) for i, p in keys]
-    path = tmp_path_factory.mktemp("cnn") / "cnn_t.txt"
-    write_cnn_features(path, records)
-    _assert_same_parse(pipeline._parsed_cnn(path), path)
-    if any(image_id.endswith("\x00") for image_id, _ in keys):
-        # a fixed-width unicode array cannot hold a trailing NUL: no sidecar
-        assert not pipeline.cnn_sidecar_path(path).exists()
-    else:
-        _assert_same_parse(_sidecar_of(path), path)
-    _assert_same_parse(pipeline._parsed_cnn(path), path)
+    folder = tmp_path_factory.mktemp("cnn")
+    text, archive = folder / "cnn_t.txt", folder / "features_t.npz"
+    write_cnn_features(text, records)
+    wanted = data.draw(st.permutations(keys))[: data.draw(st.integers(0, len(keys)))]
+    expected = _parsed_rows(text, wanted)
+
+    _assert_same_bits(pipeline._cnn_member(archive, {}, "cnn", text, wanted), expected)
+    stored = load_arrays(archive)
+    _assert_same_bits(stored["cnn"], expected)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_parses(mp)
+        _assert_same_bits(pipeline._cnn_member(archive, stored, "cnn", text, wanted), expected)
+    assert calls == []
 
 
-def test_sidecars_of_extract_output_hold_its_parse_bit_for_bit(pipe, tmp_path):
-    for name in ("cnn_train.txt", "cnn_test.txt", "cnn_images_train.txt", "cnn_images_test.txt"):
-        text = tmp_path / name
-        shutil.copy(pipe["out"] / name, text)
-        pipeline._parsed_cnn(text)
-        _assert_same_parse(_sidecar_of(text), text)
-        stage_written = pipeline.cnn_sidecar_path(pipe["out"] / name)
-        if stage_written.exists():
-            assert stage_written.read_bytes() == pipeline.cnn_sidecar_path(text).read_bytes(), name
+@pytest.mark.parametrize("damage", ["stripped", "stale"])
+def test_an_archive_without_its_cnn_rows_is_restored_byte_for_byte(pipe, tmp_path, monkeypatch, damage):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "train" / "manifest.txt"
+    archive = out / "features_train.npz"
+    good = archive.read_bytes()
+    arrays = load_arrays(archive)
+    for name in ("cnn", "prior_cnn"):
+        if damage == "stripped":
+            del arrays[name], arrays[name + "_sha256"]
+        else:
+            arrays[name + "_sha256"] = np.array("0" * 64)
+    save_arrays(archive, arrays)
 
-
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "empty", "wrong_members"])
-def test_an_unreadable_sidecar_is_rebuilt_from_the_text(pipe, tmp_path, monkeypatch, damage):
-    text = tmp_path / "cnn_train.txt"
-    shutil.copy(pipe["out"] / "cnn_train.txt", text)
-    sidecar = pipeline.cnn_sidecar_path(text)
-    pipeline._parsed_cnn(text)
-    good = sidecar.read_bytes()
-    if damage == "truncate":
-        sidecar.write_bytes(good[: len(good) // 2])
-    elif damage == "garbage":
-        sidecar.write_bytes(b"not a zip archive\n")
-    elif damage == "empty":
-        sidecar.write_bytes(b"")
-    else:
-        arrays = load_arrays(sidecar)
-        del arrays["matrix"]
-        save_arrays(sidecar, arrays)
-
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
     calls = _count_parses(monkeypatch)
-    _assert_same_parse(pipeline._parsed_cnn(text), text)
-    assert len(calls) == 1
-    assert sidecar.read_bytes() == good
-    pipeline._parsed_cnn(text)
-    assert len(calls) == 1
+    stage_train_svm(cfg, manifest, out)
+    pipeline.stage_train_prior(cfg, manifest, out)
+    assert calls == [out / "cnn_train.txt", out / "cnn_images_train.txt"]
+    assert archive.read_bytes() == good
+    stage_train_svm(cfg, manifest, out)
+    pipeline.stage_train_prior(cfg, manifest, out)
+    assert len(calls) == 2
 
 
-def test_malformed_text_beside_a_valid_sidecar_fails_with_its_line(pipe, tmp_path):
+def test_malformed_replaced_text_fails_with_its_line_and_leaves_the_archive(pipe, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
     text = out / "cnn_train.txt"
-    assert _sidecar_of(text) is not None
+    archive = (out / "features_train.npz").read_bytes()
     lines = text.read_text().splitlines(keepends=True)
     lines.insert(2, "img 0 1.0 oops\n")
     text.write_text("".join(lines))
@@ -350,25 +382,56 @@ def test_malformed_text_beside_a_valid_sidecar_fails_with_its_line(pipe, tmp_pat
     with pytest.raises(ValueError) as staged:
         stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
     assert str(staged.value) == str(direct.value)
+    assert (out / "features_train.npz").read_bytes() == archive
 
 
 def _snapshot(out):
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def test_rerunning_train_svm_is_byte_identical_sidecar_included(pipe, tmp_path, monkeypatch):
+def test_rerunning_train_svm_is_byte_identical(pipe, tmp_path, monkeypatch):
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
-    pipeline.cnn_sidecar_path(out / "cnn_train.txt").unlink()
-    stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
-    first = _snapshot(out)
-    assert "cnn_train.npz" in first
-
+    before = _snapshot(out)
     calls = _count_parses(monkeypatch)
-    stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
-    assert calls == []
-    assert _snapshot(out) == first
-    assert first["cnn_train.npz"] == (pipe["out"] / "cnn_train.npz").read_bytes()
+    for _ in range(2):
+        stage_train_svm(pipe["cfg"], pipe["train_manifest"], out)
+        assert calls == []
+        assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage", "empty"])
+def test_a_damaged_features_archive_fails_with_a_rerun_message(pipe, tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    for verb, split in (("detect", "test"), ("train-prior", "train")):
+        path = out / f"features_{split}.npz"
+        good = path.read_bytes()
+        path.write_bytes({"truncate": good[:1000], "garbage": b"not a zip archive\n", "empty": b""}[damage])
+        assert _cli(verb, out / "data" / split / "manifest.txt", out) == 1
+        assert capsys.readouterr().err == f"fusedet: error: {path}: not a readable features archive; rerun 'extract'\n"
+
+
+def test_extract_refuses_a_split_of_mixed_channel_counts(tmp_path):
+    spec = SynthSpec(n_classes=3, n_images=3, max_shapes=1, noise=0.2, image_size=64)
+    generate_dataset(tmp_path / "data", spec, seed=0)
+    manifest = tmp_path / "data" / "manifest.txt"
+    man = read_manifest(manifest)
+    gray = man.images[2]
+    img = read_pnm(man.resolved_path(gray))
+    write_pnm(Image.from_array(img.pixels[:, :, :1]), tmp_path / "data" / "gray.pgm")
+    gray.path = "gray.pgm"
+    write_manifest(manifest, man)
+    out = tmp_path / "out"
+    cfg = _micro_cfg()
+    stage_propose(cfg, manifest, out)
+    with pytest.raises(ValueError) as err:
+        stage_extract(cfg, manifest, out)
+    assert str(err.value) == (
+        f"{manifest}: image {man.images[0].image_id} has 3 channels but image {gray.image_id} has 1; "
+        "the images of one split must share a channel count"
+    )
+    assert not (out / "features_data.npz").exists() and not (out / "cnn_data.txt").exists()
 
 
 def _cli(verb, manifest, out, *extra):
@@ -503,6 +566,34 @@ def test_extract_refuses_a_saved_codebook_of_another_shape(pipe, tmp_path, capsy
     assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
     cfg_file.write_text(MICRO_CODEBOOK)
     assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 0
+
+
+def test_extract_names_a_malformed_codebook_file(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(MICRO_CODEBOOK)
+    for name, kind, drop, why in (
+        ("codebook_pca.model", "pca", "mean", "no 'mean' array"),
+        ("codebook_gmm.model", "gmm", "means", "no 'means' array"),
+        ("codebook_gmm.model", "gmm", None, "weights (1, 4), means (4, 16) and variances (3, 16) disagree"),
+    ):
+        path = out / name
+        text = path.read_text()
+        meta, arrays = modelio.read_model(path, kind)
+        if drop:
+            del arrays[drop]
+        else:
+            arrays["variances"] = arrays["variances"][:3]
+        modelio.write_model(path, kind, meta, arrays)
+        assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+        assert capsys.readouterr().err == (
+            f"fusedet: error: {path}: not a valid codebook: {why}; "
+            "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+        )
+        path.write_text(text)
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
 
 
 def test_hard_negative_mining_retrains_the_banks_reproducibly(pipe, tmp_path):
