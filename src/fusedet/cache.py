@@ -6,7 +6,8 @@ by hand with pinned member timestamps: identical arrays always produce
 identical bytes. np.load reads these files directly, and nothing in them is
 pickled. A file is written under a temporary name in its own directory and
 then renamed over the target, so an interrupted write never leaves a
-truncated archive behind.
+truncated archive behind. Each member is streamed into the archive as it
+is serialized, so a write holds no second copy of any array.
 
 `file_sha256` is the digest that parsed copies of text files are keyed by:
 the features archive stores the digest of each CNN text whose rows it holds,
@@ -35,15 +36,25 @@ def save_arrays(path, arrays: Dict[str, np.ndarray]) -> None:
     try:
         with zipfile.ZipFile(tmp, "x", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
             for name in sorted(arrays):
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+                array = np.asarray(arrays[name])
                 info = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
                 info.external_attr = 0o600 << 16
-                zf.writestr(info, buf.getvalue())
+                # zipfile picks zip64 from the size preset here, as writestr
+                # would from its bytes, so streaming writes the same archive
+                info.file_size = _npy_size(array)
+                with zf.open(info, "w") as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _npy_size(array: np.ndarray) -> int:
+    """Length of the .npy file np.lib.format.write_array makes of array."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    return header.tell() + array.nbytes
 
 
 def load_arrays(path) -> Dict[str, np.ndarray]:

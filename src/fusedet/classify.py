@@ -11,6 +11,7 @@ one `LinearBank`: one model file layout, one validator and one scorer,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -81,6 +82,16 @@ def train_svm(
     epoch-end iterates and the initial zero model, by objective value, so
     the per-epoch objective trajectory is non-increasing and the result is
     never worse than the zero vector.
+
+    The weights are held as w = a * v (Pegasos's scaled representation), so
+    the shrink by 1 - 1/t and the projection only rescale the scalar a, and
+    ||v||^2 is carried along from the v.x each step computes anyway and the
+    precomputed ||x_i||^2. A step thus costs one d-long dot product, plus
+    one d-long axpy when the sample violates its margin; the update rule is
+    the same as scaling w itself, with rounding in another order. The first
+    step's shrink factor is 0 and resets v outright, and each epoch end
+    folds a into v and recomputes ||v||^2, so rounding cannot build up
+    across epochs.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -97,27 +108,43 @@ def train_svm(
 
     n, dim = X.shape
     rng = np.random.default_rng(seed)
-    w = np.zeros(dim)
+    v = np.zeros(dim)
     b = 0.0
-    best = LinearModel(weights=w.copy(), bias=b)
+    best = LinearModel(weights=v.copy(), bias=b)
     best_obj = svm_objective(best, X, y, lambda_)
 
-    radius = 1.0 / np.sqrt(lambda_)
+    rows = list(X)
+    signs = y.tolist()
+    row_sq = np.einsum("ij,ij->i", X, X).tolist()
+    radius = 1.0 / math.sqrt(lambda_)
+    radius_sq = 1.0 / lambda_
+    a = 1.0  # w = a * v
+    v_sq = 0.0  # ||v||^2
     t = 1
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
+            x, yi = rows[i], signs[i]
+            vx = float(v @ x)
             eta = 1.0 / (lambda_ * t)
-            margin = y[i] * (w @ X[i] + b)
-            w *= 1.0 - eta * lambda_
+            margin = yi * (a * vx + b)
+            if t == 1:
+                v[:] = 0.0
+                a, v_sq, vx = 1.0, 0.0, 0.0
+            else:
+                a *= 1.0 - eta * lambda_
             if margin < 1.0:
-                w += eta * y[i] * X[i]
-                b += eta * y[i]
-            norm = np.sqrt(w @ w)
-            if norm > radius:
-                w *= radius / norm
+                k = eta * yi / a
+                v += k * x
+                v_sq += 2.0 * k * vx + k * k * row_sq[i]
+                b += eta * yi
+            if a * a * v_sq > radius_sq:
+                a = radius / math.sqrt(v_sq)
             t += 1
-        b = _optimal_bias(X @ w, y)
-        candidate = LinearModel(weights=w.copy(), bias=b)
+        v *= a
+        a = 1.0
+        v_sq = float(v @ v)
+        b = _optimal_bias(X @ v, y)
+        candidate = LinearModel(weights=v.copy(), bias=b)
         obj = svm_objective(candidate, X, y, lambda_)
         if obj < best_obj:
             best, best_obj = candidate, obj

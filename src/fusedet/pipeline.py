@@ -394,23 +394,22 @@ def _load_features(path: Path) -> Dict[str, np.ndarray]:
     return feats
 
 
-def _cnn_member(
-    path: Path, feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]
-) -> np.ndarray:
-    """feats[name], the rows of the features archive at path that hold the
-    vectors of the CNN features file text for the (image_id, proposal_index)
-    keys, in order.
+def _import_cnn(feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]) -> bool:
+    """Makes feats[name] the rows that hold the vectors of the CNN features
+    file text for the (image_id, proposal_index) keys, in order. True when
+    the text had to be parsed, so that feats no longer match the archive
+    they were loaded from.
 
     The text is the source of truth. The archive keeps its parse with the
     sha256 of its bytes (feats[name + "_sha256"]) and serves the rows while
     that matches. Otherwise (replaced embeddings, or an archive older than
     its CNN rows) the text is parsed, checked to hold every key, and its rows
-    and digest are stored in feats and rewritten to the archive; errors thus
-    come from the text, and a failed parse writes nothing.
+    and digest are stored in feats; errors thus come from the text, and a
+    failed parse changes nothing.
     """
     digest = cache.file_sha256(_require(text, "extract"))
     if name in feats and str(feats.get(name + "_sha256")) == digest:
-        return feats[name]
+        return False
     index, matrix = load_cnn_features(text)
     for image_id, proposal_index in keys:
         if (image_id, proposal_index) not in index:
@@ -419,32 +418,52 @@ def _cnn_member(
             )
     feats[name] = matrix[[index[key] for key in keys]]
     feats[name + "_sha256"] = np.array(digest)
-    cache.save_arrays(path, feats)
+    return True
+
+
+def _cnn_member(
+    path: Path, feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]
+) -> np.ndarray:
+    """feats[name] as `_import_cnn` makes it, the features archive at path
+    being rewritten when the text had to be parsed."""
+    if _import_cnn(feats, name, text, keys):
+        cache.save_arrays(path, feats)
     return feats[name]
 
 
 class _StageInputs(NamedTuple):
     """What train-svm, train-fusion, train-regressor and detect read: the
     manifest, the features archive (one row per proposal, with the row's
-    box, image and proposal index), and the matrix of every channel."""
+    box, image and proposal index), the matrix of every channel and, for
+    detect, the whole-image prior rows."""
 
     tag: str
     out_dir: Path
     man: DatasetManifest
     feats: Dict[str, np.ndarray]
     channels: Dict[str, np.ndarray]
+    prior: Optional[np.ndarray]
 
 
-def _stage_inputs(manifest_path, out_dir, tag: Optional[str]) -> _StageInputs:
+def _stage_inputs(manifest_path, out_dir, tag: Optional[str], prior_feature: Optional[str] = None) -> _StageInputs:
+    """The inputs of a stage after extract; with prior_feature ('ifv' or
+    'cnn') also the prior rows of that feature. When CNN texts must be
+    parsed, the archive is rewritten once, after every text has been
+    checked, so a failed parse or key check writes nothing."""
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     man = read_manifest(manifest_path)
     path = features_path(out_dir, tag)
     feats = _load_features(path)
     keys = [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])]
-    cnn = _cnn_member(path, feats, "cnn", cnn_path(out_dir, tag), keys)
-    channels = {"cnn": cnn, "hog": feats["hog"], "ifv": feats["ifv"]}
-    return _StageInputs(tag, out_dir, man, feats, channels)
+    imported = _import_cnn(feats, "cnn", cnn_path(out_dir, tag), keys)
+    if prior_feature == "cnn":
+        imported |= _import_cnn(feats, "prior_cnn", cnn_images_path(out_dir, tag), _image_keys(man))
+    if imported:
+        cache.save_arrays(path, feats)
+    channels = {"cnn": feats["cnn"], "hog": feats["hog"], "ifv": feats["ifv"]}
+    prior = None if prior_feature is None else _prior_rows(prior_feature, feats)
+    return _StageInputs(tag, out_dir, man, feats, channels, prior)
 
 
 def _label_rows(cfg, data: _StageInputs):
@@ -599,16 +618,22 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
     return path
 
 
-def _prior_features(cfg, man, out_dir, tag, feats=None) -> np.ndarray:
-    """Whole-image prior feature of every image, in manifest order; feats is
-    the features archive of tag when the caller has already read it."""
+def _image_keys(man: DatasetManifest) -> List[Tuple[str, int]]:
+    """The CNN record keys of the whole-image vectors, in manifest order."""
+    return [(im.image_id, 0) for im in man.images]
+
+
+def _prior_rows(prior_feature: str, feats: Dict[str, np.ndarray]) -> np.ndarray:
+    return feats["prior_ifv"].astype(np.float64) if prior_feature == "ifv" else feats["prior_cnn"]
+
+
+def _prior_features(cfg, man, out_dir, tag) -> np.ndarray:
+    """Whole-image prior feature of every image, in manifest order."""
     path = features_path(out_dir, tag)
-    if feats is None:
-        feats = _load_features(path)
-    if cfg.prior_feature == "ifv":
-        return feats["prior_ifv"].astype(np.float64)
-    keys = [(im.image_id, 0) for im in man.images]
-    return _cnn_member(path, feats, "prior_cnn", cnn_images_path(out_dir, tag), keys)
+    feats = _load_features(path)
+    if cfg.prior_feature == "cnn":
+        _cnn_member(path, feats, "prior_cnn", cnn_images_path(out_dir, tag), _image_keys(man))
+    return _prior_rows(cfg.prior_feature, feats)
 
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
@@ -668,7 +693,7 @@ def stage_detect(
 ) -> Path:
     if channel not in ("fused",) + CHANNELS:
         raise ValueError(f"unknown detect channel {channel!r}")
-    data = _stage_inputs(manifest_path, out_dir, tag)
+    data = _stage_inputs(manifest_path, out_dir, tag, cfg.prior_feature)
     man, out_dir = data.man, data.out_dir
     n_cat = man.n_categories
     banks = _load_banks(data)
@@ -676,8 +701,7 @@ def stage_detect(
     regressor = _load_model(
         BoxRegressor.load, regressor_path(out_dir), "train-regressor", data.channels[cfg.regress_channel].shape[1]
     )
-    prior_feats = _prior_features(cfg, man, out_dir, data.tag, data.feats)
-    prior = _load_bank(prior_path(out_dir), "train-prior", prior_feats.shape[1], n_cat)
+    prior = _load_bank(prior_path(out_dir), "train-prior", data.prior.shape[1], n_cat)
 
     results: List[Detection] = []
     for i, im in enumerate(man.images):
@@ -693,7 +717,7 @@ def stage_detect(
             final = banks[channel].scores(per_channel[channel])
 
         X_reg = per_channel[cfg.regress_channel].astype(np.float64)
-        presence = presence_scores(prior_feats[i], prior)
+        presence = presence_scores(data.prior[i], prior)
         for cid in range(n_cat):
             dets = [
                 Detection(image_id=im.image_id, category_id=cid, score=float(final[p, cid]), box=boxes[p])

@@ -2,7 +2,9 @@
 
 Proposals that land near a ground-truth object rarely coincide with it, so a
 per-category ridge regressor learns a corrective transform from appearance
-features: normalized center offsets plus log size ratios. Categories that
+features: normalized center offsets plus log size ratios. Each category's
+ridge is solved through a thin SVD of its centered pairs, so its cost
+follows the number of pairs rather than the feature width. Categories that
 never see a training pair stay untrained and pass boxes through unchanged.
 """
 
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import modelio
 from .core import Box, Detection, GroundTruth, clip_box, iou
@@ -121,6 +122,13 @@ def train_bbox_regressor(
     (X'X + lambda*D) w = X't over the bias-augmented design matrix, with D
     the identity except a zero in the bias slot so the intercept is free
     (a very large lambda then drives predictions to the target mean).
+
+    That minimizer is solved in centered form: with Xc = X - mean(X) and
+    Tc = T - mean(T) over the category's n pairs and the thin SVD
+    Xc = U S V', the weights are V diag(s / (s^2 + lambda)) U' Tc and the
+    bias is mean(T) - mean(X) W. This costs O(n d min(n, d)) and holds
+    arrays of n x d at most, where the normal equations would build and
+    factor a (d+1) x (d+1) matrix for every category.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or not (X.shape[0] == len(proposals) == len(gts)):
@@ -135,12 +143,13 @@ def train_bbox_regressor(
             by_category.setdefault(g.category_id, []).append(i)
 
     coefficients: Dict[int, np.ndarray] = {}
-    reg = ridge_lambda * np.diag(np.append(np.ones(dim), 0.0))
     for cid, rows in sorted(by_category.items()):
-        A = np.concatenate([X[rows], np.ones((len(rows), 1))], axis=1)
+        A = X[rows]
         T = np.stack([bbox_targets(proposals[i], gts[i].box).as_array() for i in rows])
-        gram = A.T @ A + reg
-        coefficients[cid] = scipy.linalg.solve(gram, A.T @ T, assume_a="pos").T
+        x_mean, t_mean = A.mean(axis=0), T.mean(axis=0)
+        U, s, Vt = np.linalg.svd(A - x_mean, full_matrices=False)
+        W = Vt.T @ ((s / (s * s + ridge_lambda))[:, None] * (U.T @ (T - t_mean)))  # (dim, 4)
+        coefficients[cid] = np.concatenate([W.T, (t_mean - x_mean @ W)[:, None]], axis=1)
     return BoxRegressor(dim=dim, coefficients=coefficients)
 
 

@@ -1,12 +1,13 @@
 """Binary array cache with reproducible bytes."""
 
 import hashlib
+import io
 import zipfile
 
 import numpy as np
 import pytest
 
-from fusedet.cache import file_sha256, load_arrays, save_arrays
+from fusedet.cache import _npy_size, file_sha256, load_arrays, save_arrays
 
 
 def test_round_trip_preserves_values_shapes_and_dtypes(tmp_path):
@@ -47,6 +48,41 @@ def test_identical_content_gives_identical_bytes(tmp_path):
     reloaded = load_arrays(tmp_path / "x.npz")
     save_arrays(tmp_path / "z.npz", reloaded)
     assert (tmp_path / "z.npz").read_bytes() == (tmp_path / "x.npz").read_bytes()
+
+
+def _writestr_archive(path, arrays):
+    """The archive as written by serializing each member to memory and
+    handing the bytes to ZipFile.writestr."""
+    with zipfile.ZipFile(path, "x", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name in sorted(arrays):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.external_attr = 0o600 << 16
+            zf.writestr(info, buf.getvalue())
+
+
+def test_streamed_members_give_the_bytes_of_writestr(tmp_path):
+    rng = np.random.default_rng(2)
+    wide = rng.normal(size=(6, 9))
+    arrays = {
+        "f64": rng.normal(size=(7, 5)),
+        "f32": rng.normal(size=(3, 4)).astype(np.float32),
+        "i32": np.arange(-5, 7, dtype=np.int32).reshape(4, 3),
+        "empty": np.zeros((0, 2048)),
+        "digest": np.array(hashlib.sha256(b"text").hexdigest()),
+        "fortran": np.asfortranarray(wide),
+        "strided": wide[::2, 1::3],
+    }
+    assert arrays["digest"].dtype == np.dtype("<U64") and arrays["digest"].ndim == 0
+    for name, array in arrays.items():
+        # zipfile chooses zip64 from the preset size, so it must be exact
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, array, allow_pickle=False)
+        assert _npy_size(array) == len(buf.getvalue()), name
+    save_arrays(tmp_path / "streamed.npz", arrays)
+    _writestr_archive(tmp_path / "writestr.npz", arrays)
+    assert (tmp_path / "streamed.npz").read_bytes() == (tmp_path / "writestr.npz").read_bytes()
 
 
 def test_a_failed_save_leaves_the_old_file_and_no_temporaries(tmp_path):

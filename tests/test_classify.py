@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusedet.classify
 from fusedet.classify import (
     LinearBank,
     LinearModel,
+    _optimal_bias,
     fuse_scores,
     mine_hard_negatives,
     svm_objective,
@@ -103,6 +105,62 @@ def test_train_svm_validates_inputs():
         train_svm(X, [1, -1, 1, -1], 0.0, 1, 0)
     with pytest.raises(ValueError, match="epochs"):
         train_svm(X, [1, -1, 1, -1], 0.1, 0, 0)
+
+
+def _train_svm_per_step(X, y, lambda_, epochs, seed):
+    """The trainer as first written, kept as the reference: it scales and
+    projects w itself at every step. Returns the objective of the zero
+    model and of every epoch-end iterate."""
+    n, dim = X.shape
+    rng = np.random.default_rng(seed)
+    w = np.zeros(dim)
+    b = 0.0
+    objectives = [svm_objective(LinearModel(weights=w, bias=b), X, y, lambda_)]
+    radius = 1.0 / np.sqrt(lambda_)
+    t = 1
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            eta = 1.0 / (lambda_ * t)
+            margin = y[i] * (w @ X[i] + b)
+            w *= 1.0 - eta * lambda_
+            if margin < 1.0:
+                w += eta * y[i] * X[i]
+                b += eta * y[i]
+            norm = np.sqrt(w @ w)
+            if norm > radius:
+                w *= radius / norm
+            t += 1
+        b = _optimal_bias(X @ w, y)
+        objectives.append(svm_objective(LinearModel(weights=w, bias=b), X, y, lambda_))
+    return objectives
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_scaled_trainer_follows_the_per_step_trajectory(seed, monkeypatch):
+    # Gaussian rows leave no margin tied at exactly 1, where rounding in
+    # another order may legitimately take the other branch
+    rng = np.random.default_rng(1000 + seed)
+    dim = int(np.linspace(2, 300, 24)[seed])
+    n = int(rng.integers(20, 120))
+    y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    X = rng.normal(size=(n, dim)) + 0.5 * y[:, None] * rng.normal(size=dim)
+    lam = (1e-4, 1e-3, 1e-2, 0.1, 1.0)[seed % 5]
+    epochs = 3 + seed % 3
+
+    want = _train_svm_per_step(X, y, lam, epochs, seed)
+    got = []
+    objective = fusedet.classify.svm_objective
+
+    def recorded(model, *args):
+        got.append(objective(model, *args))
+        return got[-1]
+
+    monkeypatch.setattr(fusedet.classify, "svm_objective", recorded)
+    model = train_svm(X, y, lam, epochs, seed)
+    assert len(got) == len(want) == epochs + 1
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert objective(model, X, y, lam) == min(got)
 
 
 def test_svm_objective_hand_value():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusedet import cli, modelio, pipeline
+from fusedet import cache, cli, modelio, pipeline
 from fusedet.cache import file_sha256, load_arrays, save_arrays
 from fusedet.config import PipelineConfig
 from fusedet.core import Box
@@ -366,6 +366,43 @@ def test_an_archive_without_its_cnn_rows_is_restored_byte_for_byte(pipe, tmp_pat
     stage_train_svm(cfg, manifest, out)
     pipeline.stage_train_prior(cfg, manifest, out)
     assert len(calls) == 2
+
+
+def test_detect_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    pipeline.stage_train_prior(cfg, pipe["train_manifest"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    archive = out / "features_test.npz"
+    good = archive.read_bytes()
+    arrays = load_arrays(archive)
+    for name in ("cnn", "prior_cnn"):
+        del arrays[name], arrays[name + "_sha256"]
+    save_arrays(archive, arrays)
+    stripped = archive.read_bytes()
+
+    saves = []
+    save = cache.save_arrays
+
+    def counted(path, arrays):
+        saves.append(path)
+        save(path, arrays)
+
+    monkeypatch.setattr(cache, "save_arrays", counted)
+    images = out / "cnn_images_test.txt"
+    text = images.read_text()
+    images.write_text(text + "img 0 oops\n")
+    with pytest.raises(ValueError, match="cnn_images_test.txt"):
+        pipeline.stage_detect(cfg, manifest, out)
+    assert saves == [] and archive.read_bytes() == stripped
+
+    images.write_text(text)
+    pipeline.stage_detect(cfg, manifest, out)
+    assert saves == [archive]
+    assert archive.read_bytes() == good
+    pipeline.stage_detect(cfg, manifest, out)
+    assert saves == [archive]
 
 
 def test_malformed_replaced_text_fails_with_its_line_and_leaves_the_archive(pipe, tmp_path):

@@ -1,5 +1,7 @@
 """Box transform targets and the per-category ridge refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,62 @@ def test_constant_shift_is_learned_and_iou_improves():
             assert abs(a - b) <= 0.1
         assert iou(ref.box, g.box) >= iou(det.box, g.box) - 1e-12
         assert ref.score == det.score and ref.category_id == det.category_id
+
+
+def _jittered_pairs(rng, n, dim, category_id=0):
+    """n proposals, each with a ground truth a few pixels off, and random
+    feature rows, so the targets are not linear in the features."""
+    X = rng.normal(size=(n, dim))
+    proposals, gts = [], []
+    for i in range(n):
+        p = Box(10.0 + 2.0 * i, 20.0, 90.0 + 2.0 * i, 100.0)
+        dx0, dy0, dx1, dy1 = rng.uniform(-4.0, 4.0, size=4)
+        g = Box(p.x_min + dx0, p.y_min + dy0, p.x_max + dx1, p.y_max + dy1)
+        proposals.append(p)
+        gts.append(GroundTruth(image_id="im", category_id=category_id, box=g))
+    return X, proposals, gts
+
+
+@pytest.mark.parametrize("lam", [1e-9, 0.5, 1e12])
+@pytest.mark.parametrize("n, dim", [(40, 7), (9, 60)], ids=["tall", "wide"])
+def test_normal_equations_hold_for_tall_and_wide_pairs(n, dim, lam):
+    X, proposals, gts = _jittered_pairs(np.random.default_rng(n + dim), n, dim)
+    reg = train_bbox_regressor(X, proposals, gts, ridge_lambda=lam)
+    A = np.concatenate([X, np.ones((n, 1))], axis=1)
+    T = np.stack([bbox_targets(p, g.box).as_array() for p, g in zip(proposals, gts)])
+    gram = A.T @ A + lam * np.diag(np.append(np.ones(dim), 0.0))
+    C = reg.coefficients[0].T
+    resid = np.linalg.norm(gram @ C - A.T @ T)
+    # the largest term the products sum, so the bound holds whatever lambda is
+    assert resid <= 1e-9 * max(1.0, np.linalg.norm(A.T @ T), lam * np.linalg.norm(C[:dim]))
+    if lam == 1e12:
+        assert np.allclose(A @ C, T.mean(axis=0), atol=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e12])
+def test_a_category_of_one_pair_predicts_its_target_everywhere(lam):
+    rng = np.random.default_rng(6)
+    X, proposals, gts = _jittered_pairs(rng, 12, 5)
+    x1, p1, g1 = _jittered_pairs(rng, 1, 5, category_id=2)
+    reg = train_bbox_regressor(np.concatenate([X, x1]), proposals + p1, gts + g1, ridge_lambda=lam)
+    coef = reg.coefficients[2]
+    assert np.array_equal(coef[:, :5], np.zeros((4, 5)))
+    assert np.array_equal(coef[:, 5], bbox_targets(p1[0], g1[0].box).as_array())
+    assert reg.is_trained(0)
+
+
+def test_training_memory_follows_the_pairs_not_the_width():
+    # 40 pairs of 4096-d rows: the rows take 1.3 MB, while a normal-equations
+    # matrix of the bias-augmented width would alone take 134 MB
+    X, proposals, gts = _jittered_pairs(np.random.default_rng(8), 40, 4096)
+    tracemalloc.start()
+    try:
+        reg = train_bbox_regressor(X, proposals, gts, ridge_lambda=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reg.coefficients[0].shape == (4, 4097)
+    assert peak < 16 * 2**20
 
 
 def test_pairs_below_the_iou_gate_are_dropped():
