@@ -33,6 +33,16 @@ def _codebook_arrays(path, kind: str, names: Sequence[str]) -> List[np.ndarray]:
     return [arrays[name] for name in names]
 
 
+def _check_values(path, **arrays) -> None:
+    """ValueError naming the file unless every named array is finite and,
+    where its flag is set, positive."""
+    for name, (values, positive) in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: not a valid codebook: non-finite {name}")
+        if positive and not np.all(values > 0):
+            raise ValueError(f"{path}: not a valid codebook: non-positive {name}")
+
+
 @dataclass
 class PcaModel:
     mean: np.ndarray  # (raw_dim,)
@@ -51,6 +61,7 @@ class PcaModel:
         mean, basis = _codebook_arrays(path, "pca", ("mean", "basis"))
         if mean.shape != (1, basis.shape[0]):
             raise ValueError(f"{path}: not a valid codebook: mean {mean.shape} does not fit basis {basis.shape}")
+        _check_values(path, mean=(mean, False), basis=(basis, False))
         return cls(mean=mean[0], basis=basis)
 
 
@@ -86,6 +97,7 @@ class GmmModel:
                 f"{path}: not a valid codebook: weights {weights.shape}, means {means.shape} "
                 f"and variances {variances.shape} disagree"
             )
+        _check_values(path, weights=(weights, True), means=(means, False), variances=(variances, True))
         return cls(weights=weights[0], means=means, variances=variances)
 
 

@@ -83,12 +83,17 @@ def read_pnm(path) -> Image:
             channels = 3
         else:
             raise ValueError(f"unsupported magic {magic!r} (want P5 or P6)")
-        wtok, pos = _read_token(data, pos)
-        htok, pos = _read_token(data, pos)
-        mtok, pos = _read_token(data, pos)
+        fields = []
+        for _ in range(3):
+            tok, pos = _read_token(data, pos)
+            if not tok.isdigit():
+                raise ValueError(f"bad header field {tok.decode('latin-1')!r} (want a decimal count)")
+            fields.append(int(tok))
+        width, height, maxval = fields
+        if width == 0 or height == 0:
+            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    width, height, maxval = int(wtok), int(htok), int(mtok)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

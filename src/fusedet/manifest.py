@@ -78,48 +78,59 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def read_manifest(path) -> DatasetManifest:
+    """The manifest at path; a malformed header, image record or ground
+    truth raises ValueError prefixed with the file and line number."""
     path = Path(path)
     with open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty manifest")
-    header = lines[0].split()
+    lineno, line = lines[0]
+    header = line.split()
     try:
         n = int(header[0])
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}:1: header must start with the category count") from None
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: header must start with the category count") from None
     if n < 0 or len(header) != n + 1:
-        raise ValueError(f"{path}:1: expected {n} category names, got {len(header) - 1}")
+        raise ValueError(f"{path}:{lineno}: expected {n} category names, got {len(header) - 1}")
     categories = header[1:]
 
     images: List[ManifestImage] = []
+    seen = set()
     i = 1
     while i < len(lines):
-        parts = lines[i].split()
+        lineno, line = lines[i]
+        parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}: image record {lines[i]!r} must be 'image_id path gt_count'")
+            raise ValueError(f"{path}:{lineno}: image record {line!r} must be 'image_id path gt_count'")
         image_id, img_path, count_tok = parts
+        if image_id in seen:
+            raise ValueError(f"{path}:{lineno}: image_id {image_id} repeats; image_ids must be unique")
+        seen.add(image_id)
         try:
             count = int(count_tok)
         except ValueError:
-            raise ValueError(f"{path}: bad gt count {count_tok!r} for image {image_id}") from None
+            raise ValueError(f"{path}:{lineno}: bad gt count {count_tok!r} for image {image_id}") from None
         if count < 0 or i + count >= len(lines):
-            raise ValueError(f"{path}: image {image_id} declares {count} ground truths, file ends early")
+            raise ValueError(f"{path}:{lineno}: image {image_id} declares {count} ground truths, file ends early")
         gts = []
-        for j in range(count):
-            toks = lines[i + 1 + j].split()
+        for lineno, line in lines[i + 1 : i + 1 + count]:
+            toks = line.split()
             if len(toks) not in (5, 6):
                 raise ValueError(
-                    f"{path}: ground truth {lines[i + 1 + j]!r} must be "
-                    "'category_id x_min y_min x_max y_max'"
+                    f"{path}:{lineno}: ground truth {line!r} must be 'category_id x_min y_min x_max y_max'"
                 )
             try:
                 cid = int(toks[0])
-                x0, y0, x1, y1 = (float(t) for t in toks[1:5])
             except ValueError:
-                raise ValueError(f"{path}: malformed ground truth {lines[i + 1 + j]!r}") from None
-            gts.append(GroundTruth(image_id=image_id, category_id=cid, box=Box(x0, y0, x1, y1)))
+                raise ValueError(f"{path}:{lineno}: malformed ground truth {line!r}: bad category_id") from None
+            if not 0 <= cid < n:
+                raise ValueError(f"{path}:{lineno}: image {image_id}: category {cid} outside [0, {n})")
+            try:
+                box = Box(*map(modelio.parse_real, toks[1:5]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed ground truth {line!r}: {exc}") from None
+            gts.append(GroundTruth(image_id=image_id, category_id=cid, box=box))
         images.append(ManifestImage(image_id=image_id, path=img_path, ground_truths=gts))
         i += 1 + count
     return DatasetManifest(categories=categories, images=images, base_dir=path.parent)

@@ -316,6 +316,12 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     return pca, gmm
 
 
+def _row_keys(man: DatasetManifest, row_image: np.ndarray, row_proposal: np.ndarray) -> List[Tuple[str, int]]:
+    """The CNN record key (image_id, proposal_index) of each archive row."""
+    ids = [im.image_id for im in man.images]
+    return [(ids[i], p) for i, p in zip(row_image.tolist(), row_proposal.tolist())]
+
+
 def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
@@ -338,8 +344,6 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     ifv_rows = np.empty((n, ifv_length), np.float32)
     prior_rows = np.empty((len(man.images), ifv_length), np.float32)
     cnn_rows = prior_cnn = np.empty((0, 0))
-    cnn_records: List[Tuple[str, int, np.ndarray]] = []
-    image_records: List[Tuple[str, int, np.ndarray]] = []
 
     for i, im in enumerate(man.images):
         img = read_pnm(man.resolved_path(im))
@@ -358,12 +362,13 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
         prior_rows[i], prior_cnn[i] = extract_image(
             cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
-        cnn_records.extend((im.image_id, p, v) for p, v in enumerate(cnn_rows[rows]))
-        image_records.append((im.image_id, 0, prior_cnn[i]))
 
+    row_image = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
+    row_proposal = (np.arange(n) - np.repeat(starts, counts)).astype(np.int32)
     cnn_text, images_text = cnn_path(out_dir, tag), cnn_images_path(out_dir, tag)
-    write_cnn_features(cnn_text, cnn_records)
-    write_cnn_features(images_text, image_records)
+    keys = _row_keys(man, row_image, row_proposal)
+    write_cnn_features(cnn_text, ((image_id, p, v) for (image_id, p), v in zip(keys, cnn_rows)))
+    write_cnn_features(images_text, ((im.image_id, 0, v) for im, v in zip(man.images, prior_cnn)))
     arrays = {
         "boxes": box_rows,
         "hog": hog_rows,
@@ -373,8 +378,8 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
         "prior_ifv": prior_rows,
         "prior_cnn": prior_cnn,
         "prior_cnn_sha256": np.array(cache.file_sha256(images_text)),
-        "row_image": np.repeat(np.arange(len(counts)), counts).astype(np.int32),
-        "row_proposal": (np.arange(n) - np.repeat(starts, counts)).astype(np.int32),
+        "row_image": row_image,
+        "row_proposal": row_proposal,
     }
     path = features_path(out_dir, tag)
     cache.save_arrays(path, arrays)
@@ -421,21 +426,11 @@ def _import_cnn(feats: Dict[str, np.ndarray], name: str, text: Path, keys: Seque
     return True
 
 
-def _cnn_member(
-    path: Path, feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]
-) -> np.ndarray:
-    """feats[name] as `_import_cnn` makes it, the features archive at path
-    being rewritten when the text had to be parsed."""
-    if _import_cnn(feats, name, text, keys):
-        cache.save_arrays(path, feats)
-    return feats[name]
-
-
 class _StageInputs(NamedTuple):
-    """What train-svm, train-fusion, train-regressor and detect read: the
-    manifest, the features archive (one row per proposal, with the row's
-    box, image and proposal index), the matrix of every channel and, for
-    detect, the whole-image prior rows."""
+    """What every stage after extract reads: the manifest, the features
+    archive (one row per proposal, with the row's box, image and proposal
+    index), the matrix of every channel and, for train-prior and detect, the
+    whole-image prior rows."""
 
     tag: str
     out_dir: Path
@@ -445,24 +440,31 @@ class _StageInputs(NamedTuple):
     prior: Optional[np.ndarray]
 
 
-def _stage_inputs(manifest_path, out_dir, tag: Optional[str], prior_feature: Optional[str] = None) -> _StageInputs:
-    """The inputs of a stage after extract; with prior_feature ('ifv' or
-    'cnn') also the prior rows of that feature. When CNN texts must be
-    parsed, the archive is rewritten once, after every text has been
-    checked, so a failed parse or key check writes nothing."""
+def _stage_inputs(
+    manifest_path, out_dir, tag: Optional[str], prior_feature: Optional[str] = None, man: Optional[DatasetManifest] = None
+) -> _StageInputs:
+    """The inputs of a stage after extract, the one reader of a split's
+    features archive; with prior_feature ('ifv' or 'cnn') also the prior
+    rows of that feature. man, when given, is the manifest already read.
+
+    When CNN texts must be parsed, the archive is rewritten once, after
+    every text has been checked, so a failed parse or key check writes
+    nothing."""
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
+    if man is None:
+        man = read_manifest(manifest_path)
     path = features_path(out_dir, tag)
     feats = _load_features(path)
-    keys = [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])]
+    keys = _row_keys(man, feats["row_image"], feats["row_proposal"])
     imported = _import_cnn(feats, "cnn", cnn_path(out_dir, tag), keys)
     if prior_feature == "cnn":
-        imported |= _import_cnn(feats, "prior_cnn", cnn_images_path(out_dir, tag), _image_keys(man))
+        images = [(im.image_id, 0) for im in man.images]
+        imported |= _import_cnn(feats, "prior_cnn", cnn_images_path(out_dir, tag), images)
     if imported:
         cache.save_arrays(path, feats)
     channels = {"cnn": feats["cnn"], "hog": feats["hog"], "ifv": feats["ifv"]}
-    prior = None if prior_feature is None else _prior_rows(prior_feature, feats)
+    prior = None if prior_feature is None else feats["prior_" + prior_feature]
     return _StageInputs(tag, out_dir, man, feats, channels, prior)
 
 
@@ -511,17 +513,15 @@ def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[s
             if len(neg) > cfg.svm_negative_cap:
                 rng = np.random.default_rng(derive_seed(cfg.seed, "svm-neg", channel, cid))
                 neg = np.sort(rng.choice(neg, size=cfg.svm_negative_cap, replace=False))
-            X = np.concatenate([X_all[pos], X_all[neg]]).astype(np.float64)
+            X = np.concatenate([X_all[pos], X_all[neg]])
             y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
             model = train_svm(X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, "svm", channel, cid))
             if cfg.svm_hard_negatives and cfg.svm_hard_negative_count > 0:
                 all_neg = np.nonzero(labels == -1)[0]
-                picks = mine_hard_negatives(
-                    model, X_all[all_neg].astype(np.float64), cfg.svm_hard_negative_count
-                )
+                picks = mine_hard_negatives(model, X_all[all_neg], cfg.svm_hard_negative_count)
                 hard = all_neg[picks]
                 neg = np.unique(np.concatenate([neg, hard]))
-                X = np.concatenate([X_all[pos], X_all[neg]]).astype(np.float64)
+                X = np.concatenate([X_all[pos], X_all[neg]])
                 y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
                 model = train_svm(
                     X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, "svm-hard", channel, cid)
@@ -598,7 +598,7 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
     _, best_gts, boxes_per_row = _label_rows(cfg, data)
 
     rows = [r for r, gt in enumerate(best_gts) if gt is not None]
-    X = data.channels[cfg.regress_channel][rows].astype(np.float64)
+    X = data.channels[cfg.regress_channel][rows]
     regressor = train_bbox_regressor(
         X,
         [boxes_per_row[r] for r in rows],
@@ -618,29 +618,14 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
     return path
 
 
-def _image_keys(man: DatasetManifest) -> List[Tuple[str, int]]:
-    """The CNN record keys of the whole-image vectors, in manifest order."""
-    return [(im.image_id, 0) for im in man.images]
-
-
-def _prior_rows(prior_feature: str, feats: Dict[str, np.ndarray]) -> np.ndarray:
-    return feats["prior_ifv"].astype(np.float64) if prior_feature == "ifv" else feats["prior_cnn"]
-
-
 def _prior_features(cfg, man, out_dir, tag) -> np.ndarray:
     """Whole-image prior feature of every image, in manifest order."""
-    path = features_path(out_dir, tag)
-    feats = _load_features(path)
-    if cfg.prior_feature == "cnn":
-        _cnn_member(path, feats, "prior_cnn", cnn_images_path(out_dir, tag), _image_keys(man))
-    return _prior_rows(cfg.prior_feature, feats)
+    return _stage_inputs(None, out_dir, tag, cfg.prior_feature, man).prior
 
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
-    tag = tag_for(manifest_path, tag)
-    out_dir = Path(out_dir)
-    man = read_manifest(manifest_path)
-    F = _prior_features(cfg, man, out_dir, tag)
+    data = _stage_inputs(manifest_path, out_dir, tag, cfg.prior_feature)
+    man, F = data.man, data.prior
     n = len(man.images)
     ids = [im.image_id for im in man.images]
     label_sets = [{gt.category_id for gt in im.ground_truths} for im in man.images]
@@ -678,9 +663,9 @@ def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional
         if present == 0 or present == len(train_idx):
             tau[cid] = -np.inf
     prior = dataclasses.replace(prior, thresholds=tau)
-    path = prior_path(out_dir)
+    path = prior_path(data.out_dir)
     prior.save(path)
-    _run_log(out_dir, "train-prior", tag, cfg, {"train_images": len(train_idx), "held_out": len(held_idx)})
+    _run_log(data.out_dir, "train-prior", data.tag, cfg, {"train_images": len(train_idx), "held_out": len(held_idx)})
     return path
 
 

@@ -354,8 +354,23 @@ def test_fisher_checks_descriptor_dimension():
             {"weights": np.ones((1, 3)), "means": np.zeros((2, 3)), "variances": np.ones((2, 3))},
             "weights (1, 3), means (2, 3) and variances (2, 3) disagree",
         ),
+        ("pca", {"mean": np.full((1, 2), np.nan), "basis": np.eye(2)}, "non-finite mean"),
+        (
+            "gmm",
+            {"weights": np.full((1, 2), 0.5), "means": np.zeros((2, 3)), "variances": -np.ones((2, 3))},
+            "non-positive variances",
+        ),
     ],
-    ids=["pca-no-mean", "pca-no-basis", "pca-mean-width", "gmm-no-means", "gmm-variance-width", "gmm-weight-count"],
+    ids=[
+        "pca-no-mean",
+        "pca-no-basis",
+        "pca-mean-width",
+        "gmm-no-means",
+        "gmm-variance-width",
+        "gmm-weight-count",
+        "pca-nan-mean",
+        "gmm-negative-variance",
+    ],
 )
 def test_malformed_codebook_files_name_themselves(tmp_path, kind, arrays, why):
     path = tmp_path / f"{kind}.model"

@@ -74,6 +74,24 @@ def test_read_pnm_rejects_bad_files(tmp_path):
         read_pnm(p)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P6 4 x 255\n", "bad header field 'x' (want a decimal count)"),
+        (b"P6 -4 4 255\n", "bad header field '-4' (want a decimal count)"),
+        (b"P5 4 4 2.5\n", "bad header field '2.5' (want a decimal count)"),
+        (b"P6 0 4 255\n", "image dimensions must be positive, got 0x4"),
+        (b"P5 4 0 255\n", "image dimensions must be positive, got 4x0"),
+    ],
+)
+def test_read_pnm_header_errors_name_the_file(tmp_path, header, message):
+    p = tmp_path / "bad.pnm"
+    p.write_bytes(header + bytes(48))
+    with pytest.raises(ValueError) as err:
+        read_pnm(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
 def test_to_grayscale_matches_weights():
     arr = np.zeros((1, 1, 3), dtype=np.uint8)
     arr[0, 0] = (100, 50, 200)

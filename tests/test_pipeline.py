@@ -16,7 +16,7 @@ from fusedet.core import Box
 from fusedet.evaluation import mean_ap, read_report
 from fusedet.features.cnn import load_cnn_features, write_cnn_features
 from fusedet.images import Image, box_corners, read_pnm, write_pnm
-from fusedet.manifest import DatasetManifest, read_manifest, write_manifest
+from fusedet.manifest import DatasetManifest, ManifestImage, read_manifest, write_manifest
 from fusedet.pipeline import (
     MissingArtifact,
     derive_seed,
@@ -222,9 +222,13 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
     expected = drop_last_record("cnn_train.txt")
     assert cli.main(["train-svm", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"fusedet: error: {expected}\n"
-
-    expected = drop_last_record("cnn_images_train.txt")
     cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    with pytest.raises(MissingArtifact) as err:
+        pipeline.stage_train_prior(cfg, manifest, out)
+    assert str(err.value) == expected
+
+    shutil.copy(pipe["out"] / "cnn_train.txt", out / "cnn_train.txt")
+    expected = drop_last_record("cnn_images_train.txt")
     with pytest.raises(MissingArtifact) as err:
         pipeline.stage_train_prior(cfg, manifest, out)
     assert str(err.value) == expected
@@ -243,6 +247,19 @@ def _count_parses(monkeypatch):
 
     monkeypatch.setattr(pipeline, "load_cnn_features", counted)
     return calls
+
+
+def _count_saves(monkeypatch):
+    """Counts the archive writes the pipeline makes from here on."""
+    saves = []
+    save = cache.save_arrays
+
+    def counted(path, arrays):
+        saves.append(path)
+        save(path, arrays)
+
+    monkeypatch.setattr(cache, "save_arrays", counted)
+    return saves
 
 
 def _row_keys(feats, man):
@@ -333,12 +350,32 @@ def test_the_archive_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, 
     wanted = data.draw(st.permutations(keys))[: data.draw(st.integers(0, len(keys)))]
     expected = _parsed_rows(text, wanted)
 
-    _assert_same_bits(pipeline._cnn_member(archive, {}, "cnn", text, wanted), expected)
-    stored = load_arrays(archive)
-    _assert_same_bits(stored["cnn"], expected)
+    feats = {}
+    assert pipeline._import_cnn(feats, "cnn", text, wanted)
+    _assert_same_bits(feats["cnn"], expected)
+
+    # the reader serves the same rows from a split whose archive lacks them,
+    # stores them, and then serves them from the archive with no parse
+    ids = list(dict.fromkeys(image_id for image_id, _ in keys))
+    man = DatasetManifest(categories=[], images=[ManifestImage(image_id, "unused.ppm") for image_id in ids])
+    blank = np.zeros((len(wanted), 1))
+    save_arrays(archive, {
+        "boxes": np.zeros((len(wanted), 4)),
+        "hog": blank,
+        "ifv": blank,
+        "row_image": np.array([ids.index(image_id) for image_id, _ in wanted], dtype=np.int64),
+        "row_proposal": np.array([p for _, p in wanted], dtype=np.int64),
+    })
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_parses(mp)
-        _assert_same_bits(pipeline._cnn_member(archive, stored, "cnn", text, wanted), expected)
+        _assert_same_bits(pipeline._stage_inputs(None, folder, "t", man=man).channels["cnn"], expected)
+    assert calls == [text]
+    stored = load_arrays(archive)
+    _assert_same_bits(stored["cnn"], expected)
+    assert not pipeline._import_cnn(stored, "cnn", text, wanted)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_parses(mp)
+        _assert_same_bits(pipeline._stage_inputs(None, folder, "t", man=man).channels["cnn"], expected)
     assert calls == []
 
 
@@ -382,14 +419,7 @@ def test_detect_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, monkeypa
     save_arrays(archive, arrays)
     stripped = archive.read_bytes()
 
-    saves = []
-    save = cache.save_arrays
-
-    def counted(path, arrays):
-        saves.append(path)
-        save(path, arrays)
-
-    monkeypatch.setattr(cache, "save_arrays", counted)
+    saves = _count_saves(monkeypatch)
     images = out / "cnn_images_test.txt"
     text = images.read_text()
     images.write_text(text + "img 0 oops\n")
@@ -403,6 +433,37 @@ def test_detect_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, monkeypa
     assert archive.read_bytes() == good
     pipeline.stage_detect(cfg, manifest, out)
     assert saves == [archive]
+
+
+def test_train_prior_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    manifest = out / "data" / "train" / "manifest.txt"
+    archive = out / "features_train.npz"
+    texts = [out / "cnn_train.txt", out / "cnn_images_train.txt"]
+    for text in texts:
+        index, matrix = load_cnn_features(text)
+        write_cnn_features(text, [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()])
+    before = archive.read_bytes()
+
+    saves = _count_saves(monkeypatch)
+    images = texts[1].read_text()
+    texts[1].write_text(images + "img 0 oops\n")
+    with pytest.raises(ValueError, match="cnn_images_train.txt"):
+        pipeline.stage_train_prior(cfg, manifest, out)
+    assert saves == [] and archive.read_bytes() == before
+
+    texts[1].write_text(images)
+    calls = _count_parses(monkeypatch)
+    pipeline.stage_train_prior(cfg, manifest, out)
+    assert calls == texts and saves == [archive]
+    stored = load_arrays(archive)
+    man = read_manifest(manifest)
+    _assert_same_bits(stored["cnn"], _parsed_rows(texts[0], _row_keys(stored, man)))
+    _assert_same_bits(stored["prior_cnn"], _parsed_rows(texts[1], [(im.image_id, 0) for im in man.images]))
+    pipeline.stage_train_prior(cfg, manifest, out)
+    assert calls == texts and saves == [archive]
 
 
 def test_malformed_replaced_text_fails_with_its_line_and_leaves_the_archive(pipe, tmp_path):
@@ -630,6 +691,36 @@ def test_extract_names_a_malformed_codebook_file(pipe, tmp_path, capsys):
             "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
         )
         path.write_text(text)
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, kind, array, value, why",
+    [
+        ("codebook_gmm.model", "gmm", "variances", -0.5, "non-positive variances"),
+        ("codebook_gmm.model", "gmm", "variances", np.nan, "non-finite variances"),
+        ("codebook_gmm.model", "gmm", "weights", 0.0, "non-positive weights"),
+        ("codebook_gmm.model", "gmm", "weights", np.inf, "non-finite weights"),
+        ("codebook_gmm.model", "gmm", "means", -np.inf, "non-finite means"),
+        ("codebook_pca.model", "pca", "mean", np.nan, "non-finite mean"),
+        ("codebook_pca.model", "pca", "basis", np.inf, "non-finite basis"),
+    ],
+)
+def test_extract_refuses_codebook_values_that_break_the_encoding(pipe, tmp_path, capsys, name, kind, array, value, why):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(MICRO_CODEBOOK)
+    path = out / name
+    meta, arrays = modelio.read_model(path, kind)
+    arrays[array][0, -1] = value
+    modelio.write_model(path, kind, meta, arrays)
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}: not a valid codebook: {why}; "
+        "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+    )
     assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
 
 
