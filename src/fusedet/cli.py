@@ -17,10 +17,26 @@ from .evaluation import mean_ap, read_report
 from .modelio import fmt_float
 from .synth import SynthSpec, generate_dataset
 
+# The stage verbs in chain order, with their help lines. Each of them, and
+# `all`, runs the pipeline function stage_<verb> ('-' read as '_'), which
+# takes every option but --config and --seed as the keyword argument that
+# the option's dest names.
+STAGE_VERBS = {
+    "propose": "selective-search boxes for every image",
+    "extract": "CNN, HOG and IFV rows for every proposal",
+    "train-svm": "one linear SVM bank per channel",
+    "train-fusion": "per-category combination of the channel scores",
+    "train-regressor": "box regressor on the regression channel",
+    "train-prior": "whole-image presence prior and its gate",
+    "detect": "score, fuse, refine, suppress, gate, dump",
+    "eval": "match detections and write the AP report",
+    "render": "draw detection overlays as PPM images",
+}
+
 
 def _config_from(args) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -30,8 +46,18 @@ def _add_common(p, manifest=True):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, help="override the configured base seed")
     if manifest:
-        p.add_argument("--manifest", required=True, help="dataset manifest file")
+        p.add_argument(
+            "--manifest", required=True, dest="manifest_path", metavar="MANIFEST", help="dataset manifest file"
+        )
         p.add_argument("--tag", help="artifact tag (default: manifest directory name)")
+
+
+def _add_dataset(p):
+    """The synthetic-dataset options of `synth` and `all`."""
+    p.add_argument("--classes", type=int, default=SynthSpec.n_classes)
+    p.add_argument("--max-shapes", type=int, default=SynthSpec.max_shapes)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--size", type=int, default=SynthSpec.image_size, dest="image_size", metavar="SIZE")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,48 +66,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--images", type=int, default=100)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--max-shapes", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--size", type=int, default=96)
+    p.add_argument("--images", type=int, default=SynthSpec.n_images)
+    _add_dataset(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prefix", default="img")
 
-    for verb in ("propose", "extract", "train-svm", "train-fusion", "train-regressor", "train-prior"):
-        _add_common(sub.add_parser(verb))
-
-    p = sub.add_parser("detect", help="score, fuse, refine, suppress, gate, dump")
-    _add_common(p)
-    p.add_argument("--channel", choices=("fused",) + pipeline.CHANNELS, default="fused")
-
-    p = sub.add_parser("eval", help="match detections and write the AP report")
-    _add_common(p)
-    p.add_argument("--channel", choices=("fused",) + pipeline.CHANNELS, default="fused")
-    p.add_argument("--detections", help="detection dump to evaluate (default: detect's output)")
-    p.add_argument("--report", help="report file to write (default: report_<tag>.txt)")
+    stages = {verb: sub.add_parser(verb, help=text) for verb, text in STAGE_VERBS.items()}
+    for verb, p in stages.items():
+        _add_common(p)
+        if verb in ("detect", "eval", "render"):
+            p.add_argument("--channel", choices=("fused",) + pipeline.CHANNELS, default="fused")
+    p = stages["eval"]
+    p.add_argument(
+        "--detections",
+        dest="detections_file",
+        metavar="DETECTIONS",
+        help="detection dump to evaluate (default: detect's output)",
+    )
+    p.add_argument(
+        "--report", dest="report_file", metavar="REPORT", help="report file to write (default: report_<tag>.txt)"
+    )
+    stages["render"].add_argument("--min-score", type=float, default=0.0)
 
     p = sub.add_parser("compare", help="count per-category AP wins across reports")
     p.add_argument("reports", nargs="+", metavar="NAME=PATH")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("render", help="draw detection overlays as PPM images")
-    _add_common(p)
-    p.add_argument("--channel", choices=("fused",) + pipeline.CHANNELS, default="fused")
-    p.add_argument("--min-score", type=float, default=0.0)
-
     p = sub.add_parser("all", help="run the full pipeline on a synthetic dataset")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int)
+    _add_common(p, manifest=False)
     p.add_argument("--train-manifest")
     p.add_argument("--test-manifest")
     p.add_argument("--train-images", type=int, default=200)
     p.add_argument("--test-images", type=int, default=50)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--max-shapes", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--size", type=int, default=96)
+    _add_dataset(p)
 
     return ap
 
@@ -93,7 +110,7 @@ def _run(args) -> int:
             n_images=args.images,
             max_shapes=args.max_shapes,
             noise=args.noise,
-            image_size=args.size,
+            image_size=args.image_size,
         )
         manifest = generate_dataset(args.out_dir, spec, args.seed, prefix=args.prefix)
         print(f"wrote {len(manifest.images)} images under {args.out_dir}")
@@ -112,55 +129,17 @@ def _run(args) -> int:
         return 0
 
     cfg = _config_from(args)
+    # looked up per call, so a stage replaced on the module (as the
+    # benchmark's tracer does) is the one that runs
+    stage = getattr(pipeline, "stage_" + args.verb.replace("-", "_"))
+    written = stage(cfg, **{key: value for key, value in vars(args).items() if key not in ("verb", "config", "seed")})
     if args.verb == "all":
-        report = pipeline.stage_all(
-            cfg,
-            args.out_dir,
-            train_manifest=args.train_manifest,
-            test_manifest=args.test_manifest,
-            train_images=args.train_images,
-            test_images=args.test_images,
-            classes=args.classes,
-            max_shapes=args.max_shapes,
-            noise=args.noise,
-            image_size=args.size,
-        )
-        print(f"report {report}")
-        print(f"mAP {fmt_float(mean_ap(read_report(report)))}")
-        return 0
-
-    tag = getattr(args, "tag", None)
-    if args.verb == "propose":
-        print(f"wrote {pipeline.stage_propose(cfg, args.manifest, args.out_dir, tag)}")
-    elif args.verb == "extract":
-        print(f"wrote {pipeline.stage_extract(cfg, args.manifest, args.out_dir, tag)}")
-    elif args.verb == "train-svm":
-        for path in pipeline.stage_train_svm(cfg, args.manifest, args.out_dir, tag):
+        print(f"report {written}")
+    else:
+        for path in written if isinstance(written, list) else [written]:
             print(f"wrote {path}")
-    elif args.verb == "train-fusion":
-        print(f"wrote {pipeline.stage_train_fusion(cfg, args.manifest, args.out_dir, tag)}")
-    elif args.verb == "train-regressor":
-        print(f"wrote {pipeline.stage_train_regressor(cfg, args.manifest, args.out_dir, tag)}")
-    elif args.verb == "train-prior":
-        print(f"wrote {pipeline.stage_train_prior(cfg, args.manifest, args.out_dir, tag)}")
-    elif args.verb == "detect":
-        print(f"wrote {pipeline.stage_detect(cfg, args.manifest, args.out_dir, tag, channel=args.channel)}")
-    elif args.verb == "eval":
-        path = pipeline.stage_eval(
-            cfg,
-            args.manifest,
-            args.out_dir,
-            tag,
-            channel=args.channel,
-            detections_file=args.detections,
-            report_file=args.report,
-        )
-        print(f"wrote {path}")
-        print(f"mAP {fmt_float(mean_ap(read_report(path)))}")
-    elif args.verb == "render":
-        print(f"wrote {pipeline.stage_render(cfg, args.manifest, args.out_dir, tag, channel=args.channel, min_score=args.min_score)}")
-    else:  # pragma: no cover - argparse enforces the verb set
-        raise ValueError(f"unknown verb {args.verb!r}")
+    if args.verb in ("eval", "all"):
+        print(f"mAP {fmt_float(mean_ap(read_report(written)))}")
     return 0
 
 

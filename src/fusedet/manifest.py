@@ -87,11 +87,10 @@ def read_manifest(path) -> DatasetManifest:
         raise ValueError(f"{path}: empty manifest")
     lineno, line = lines[0]
     header = line.split()
-    try:
-        n = int(header[0])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: header must start with the category count") from None
-    if n < 0 or len(header) != n + 1:
+    if not modelio.is_count(header[0]):
+        raise ValueError(f"{path}:{lineno}: header must start with the category count")
+    n = int(header[0])
+    if len(header) != n + 1:
         raise ValueError(f"{path}:{lineno}: expected {n} category names, got {len(header) - 1}")
     categories = header[1:]
 
@@ -107,11 +106,10 @@ def read_manifest(path) -> DatasetManifest:
         if image_id in seen:
             raise ValueError(f"{path}:{lineno}: image_id {image_id} repeats; image_ids must be unique")
         seen.add(image_id)
-        try:
-            count = int(count_tok)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad gt count {count_tok!r} for image {image_id}") from None
-        if count < 0 or i + count >= len(lines):
+        if not modelio.is_count(count_tok):
+            raise ValueError(f"{path}:{lineno}: bad gt count {count_tok!r} for image {image_id}")
+        count = int(count_tok)
+        if i + count >= len(lines):
             raise ValueError(f"{path}:{lineno}: image {image_id} declares {count} ground truths, file ends early")
         gts = []
         for lineno, line in lines[i + 1 : i + 1 + count]:
@@ -120,11 +118,10 @@ def read_manifest(path) -> DatasetManifest:
                 raise ValueError(
                     f"{path}:{lineno}: ground truth {line!r} must be 'category_id x_min y_min x_max y_max'"
                 )
-            try:
-                cid = int(toks[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed ground truth {line!r}: bad category_id") from None
-            if not 0 <= cid < n:
+            if not modelio.is_count(toks[0]):
+                raise ValueError(f"{path}:{lineno}: malformed ground truth {line!r}: bad category_id")
+            cid = int(toks[0])
+            if cid >= n:
                 raise ValueError(f"{path}:{lineno}: image {image_id}: category {cid} outside [0, {n})")
             try:
                 box = Box(*map(modelio.parse_real, toks[1:5]))

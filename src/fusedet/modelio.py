@@ -37,8 +37,8 @@ def parse_real(tok: str) -> float:
     return v
 
 
-def _is_count(tok: str) -> bool:
-    """Whether tok is a non-negative decimal integer."""
+def is_count(tok: str) -> bool:
+    """Whether tok is a non-negative integer in ASCII decimal digits, without sign or underscores."""
     return tok.isascii() and tok.isdigit()
 
 
@@ -65,7 +65,7 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != MAGIC:
         raise ValueError(f"{path}: bad magic line {lines[0]!r}")
-    if not _is_count(header[1]):
+    if not is_count(header[1]):
         raise ValueError(f"{path}: bad version {header[1]!r}")
     if int(header[1]) != VERSION:
         raise ValueError(f"{path}: unsupported version {header[1]}")
@@ -84,7 +84,7 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
             meta[parts[1]] = " ".join(parts[2:])
             i += 1
         elif parts[0] == "array" and len(parts) == 4:
-            if not (_is_count(parts[2]) and _is_count(parts[3])):
+            if not (is_count(parts[2]) and is_count(parts[3])):
                 raise ValueError(f"{path}:{i + 1}: bad array header {line!r}")
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
             if i + rows >= len(lines):
@@ -97,7 +97,10 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
                     raise ValueError(
                         f"{path}: array {name!r} row {r} has {len(vals)} values, expected {cols}"
                     )
-                data[r] = [float(v) for v in vals]
+                try:
+                    data[r] = [float(v) for v in vals]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{i + 2 + r}: {exc}") from None
             arrays[name] = data
             i += 1 + rows
         else:

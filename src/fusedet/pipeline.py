@@ -126,14 +126,17 @@ def prior_path(out_dir):
     return Path(out_dir) / "prior.model"
 
 
+def _channel_path(out_dir, stem, tag, channel):
+    """out_dir/<stem>_<tag>.txt for the fused system, <stem>_<tag>_<channel>.txt for one channel."""
+    return Path(out_dir) / (f"{stem}_{tag}.txt" if channel == "fused" else f"{stem}_{tag}_{channel}.txt")
+
+
 def detections_path(out_dir, tag, channel="fused"):
-    suffix = "" if channel == "fused" else f"_{channel}"
-    return Path(out_dir) / f"detections_{tag}{suffix}.txt"
+    return _channel_path(out_dir, "detections", tag, channel)
 
 
 def report_path(out_dir, tag, channel="fused"):
-    suffix = "" if channel == "fused" else f"_{channel}"
-    return Path(out_dir) / f"report_{tag}{suffix}.txt"
+    return _channel_path(out_dir, "report", tag, channel)
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -178,7 +181,7 @@ def read_proposals(path) -> Dict[str, List[Box]]:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'image_id count', got {line!r}")
         image_id, count = parts
-        if not count.isdecimal():
+        if not modelio.is_count(count):
             raise ValueError(f"{path}:{lineno}: bad box count {count!r}")
         count = int(count)
         if image_id in out:
@@ -819,20 +822,10 @@ def stage_all(
     out_dir.mkdir(parents=True, exist_ok=True)
     if train_manifest is None or test_manifest is None:
         spec = SynthSpec(
-            n_classes=classes,
-            n_images=train_images,
-            max_shapes=max_shapes,
-            noise=noise,
-            image_size=image_size,
+            n_classes=classes, n_images=train_images, max_shapes=max_shapes, noise=noise, image_size=image_size
         )
         generate_dataset(out_dir / "data" / "train", spec, derive_seed(cfg.seed, "synth", "train"), prefix="tr")
-        test_spec = SynthSpec(
-            n_classes=classes,
-            n_images=test_images,
-            max_shapes=max_shapes,
-            noise=noise,
-            image_size=image_size,
-        )
+        test_spec = dataclasses.replace(spec, n_images=test_images)
         generate_dataset(out_dir / "data" / "test", test_spec, derive_seed(cfg.seed, "synth", "test"), prefix="te")
         train_manifest = out_dir / "data" / "train" / "manifest.txt"
         test_manifest = out_dir / "data" / "test" / "manifest.txt"

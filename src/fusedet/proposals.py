@@ -243,22 +243,14 @@ def similarity(table: Regions, a, b, image_area: float) -> np.ndarray:
 
 def region_adjacency(seg: SegmentationMap) -> Set[Tuple[int, int]]:
     """Unordered pairs of region ids touching under 8-connectivity."""
-    lab = seg.labels
-    pairs: Set[Tuple[int, int]] = set()
-    shifts = [
-        (lab[:, :-1], lab[:, 1:]),
-        (lab[:-1, :], lab[1:, :]),
-        (lab[:-1, :-1], lab[1:, 1:]),
-        (lab[:-1, 1:], lab[1:, :-1]),
-    ]
-    for la, lb in shifts:
-        la = la.ravel()
-        lb = lb.ravel()
-        diff = la != lb
-        lo = np.minimum(la[diff], lb[diff])
-        hi = np.maximum(la[diff], lb[diff])
-        pairs.update(zip(lo.tolist(), hi.tolist()))
-    return pairs
+    ea, eb = _pixel_edges(seg.width, seg.height)
+    flat = seg.labels.ravel().astype(np.int64)
+    la, lb = flat[ea], flat[eb]
+    diff = la != lb
+    # one key lo * n + hi per pair, deduplicated before Python sees it
+    n = seg.num_regions
+    keys = np.unique(np.minimum(la[diff], lb[diff]) * n + np.maximum(la[diff], lb[diff]))
+    return set(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 def hierarchical_grouping(

@@ -92,7 +92,7 @@ def test_read_errors(tmp_path):
     with pytest.raises(ValueError, match="bad gt count 'x'"):
         read_manifest(p)
     p.write_text("1 disk\nim_0 a.ppm -1\n")
-    with pytest.raises(ValueError, match="file ends early"):
+    with pytest.raises(ValueError, match="bad gt count '-1'"):
         read_manifest(p)
     p.write_text("1 disk\nim_0 a.ppm 1\n0 1 2 3\n")
     with pytest.raises(ValueError, match="must be"):
@@ -109,9 +109,14 @@ _SHAPE = "must be 'category_id x_min y_min x_max y_max'"
     "text, lineno, message",
     [
         ("x disk\n", 1, "header must start with the category count"),
+        ("+1 disk\n", 1, "header must start with the category count"),
         ("\n2 disk\n", 2, "expected 2 category names, got 1"),
         ("1 disk\n\nim_0 a.ppm\n", 3, "image record 'im_0 a.ppm' must be 'image_id path gt_count'"),
         ("1 disk\nim_0 a.ppm x\n", 2, "bad gt count 'x' for image im_0"),
+        ("1 disk\nim_0 a.ppm -1\n", 2, "bad gt count '-1' for image im_0"),
+        ("1 disk\nim_0 a.ppm +1\n0 1 2 3 4\n", 2, "bad gt count '+1' for image im_0"),
+        ("1 disk\nim_0 a.ppm 1_0\n0 1 2 3 4\n", 2, "bad gt count '1_0' for image im_0"),
+        ("1 disk\nim_0 a.ppm \u0661\n0 1 2 3 4\n", 2, "bad gt count '\u0661' for image im_0"),
         ("1 disk\nim_0 a.ppm 2\n0 1 2 3 4\n", 2, "image im_0 declares 2 ground truths, file ends early"),
         ("1 disk\nim_0 a.ppm 0\nim_0 b.ppm 0\n", 3, "image_id im_0 repeats; image_ids must be unique"),
         ("1 disk\nim_0 a.ppm 1\n\n0 1 2 3\n", 4, f"ground truth '0 1 2 3' {_SHAPE}"),
@@ -131,13 +136,16 @@ _SHAPE = "must be 'category_id x_min y_min x_max y_max'"
             3,
             "malformed ground truth '0 1 2 1 5': box must have positive area, got (1.0, 2.0, 1.0, 5.0)",
         ),
-        ("1 disk\nim_0 a.ppm 1\n-1 1 2 3 4\n", 3, "image im_0: category -1 outside [0, 1)"),
+        ("1 disk\nim_0 a.ppm 1\n-1 1 2 3 4\n", 3, "malformed ground truth '-1 1 2 3 4': bad category_id"),
+        ("2 a b\nim_0 a.ppm 1\n+1 1 2 3 4\n", 3, "malformed ground truth '+1 1 2 3 4': bad category_id"),
+        ("2 a b\nim_0 a.ppm 1\n1_0 1 2 3 4\n", 3, "malformed ground truth '1_0 1 2 3 4': bad category_id"),
+        ("2 a b\nim_0 a.ppm 1\n\u0661 1 2 3 4\n", 3, "malformed ground truth '\u0661 1 2 3 4': bad category_id"),
         ("2 a b\nim_0 a.ppm 0\nim_1 b.ppm 2\n0 1 2 3 4\n2 1 2 3 4\n", 5, "image im_1: category 2 outside [0, 2)"),
     ],
 )
 def test_read_errors_name_the_file_and_line(tmp_path, text, lineno, message):
     p = tmp_path / "m.txt"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as err:
         read_manifest(p)
     assert str(err.value) == f"{p}:{lineno}: {message}"

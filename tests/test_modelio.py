@@ -89,6 +89,10 @@ def test_read_rejects_malformed_bodies(tmp_path):
     p.write_text("fusedet-model 1 gmm\narray w 1 3\n1 2\nend\n")
     with pytest.raises(ValueError, match="row 0 has 2 values, expected 3"):
         read_model(p, "gmm")
+    p.write_text("fusedet-model 1 gmm\narray w 2 2\n1 2\n3 x\nend\n")
+    with pytest.raises(ValueError) as err:
+        read_model(p, "gmm")
+    assert str(err.value) == f"{p}:4: could not convert string to float: 'x'"
     p.write_text("fusedet-model 1 gmm\nbogus line\nend\n")
     with pytest.raises(ValueError, match="unrecognized line 2"):
         read_model(p, "gmm")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import shutil
 
 import numpy as np
@@ -13,7 +14,7 @@ from fusedet import cache, cli, modelio, pipeline
 from fusedet.cache import file_sha256, load_arrays, save_arrays
 from fusedet.config import PipelineConfig
 from fusedet.core import Box
-from fusedet.evaluation import mean_ap, read_report
+from fusedet.evaluation import PerClassReport, mean_ap, read_report, write_report
 from fusedet.features.cnn import load_cnn_features, write_cnn_features
 from fusedet.images import Image, box_corners, read_pnm, write_pnm
 from fusedet.manifest import DatasetManifest, ManifestImage, read_manifest, write_manifest
@@ -119,11 +120,14 @@ def test_read_proposals_errors(tmp_path):
         ("im_0\n", "1: expected 'image_id count', got 'im_0'"),
         ("im_0 -1\n", "1: bad box count '-1'"),
         ("im_0 x\n", "1: bad box count 'x'"),
+        ("im_0 +1\n0 0 5 5\n", "1: bad box count '+1'"),
+        ("im_0 1_0\n0 0 5 5\n", "1: bad box count '1_0'"),
+        ("im_0 \u0661\n0 0 5 5\n", "1: bad box count '\u0661'"),
         ("im_0 1\n\n0 0 a 5\n", "3: expected a finite real, got 'a'"),
         ("im_0 1\n0 0 inf 5\n", "2: expected a finite real, got 'inf'"),
         ("im_0 0\nim_1 1\n0 0 0 5\n", "3: box must have positive area, got (0.0, 0.0, 0.0, 5.0)"),
     ):
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as err:
             read_proposals(p)
         assert str(err.value) == f"{p}:{message}"
@@ -630,6 +634,19 @@ def test_old_layouts_and_malformed_banks_fail_with_a_rerun_message(pipe, tmp_pat
     )
     path.write_text(text)
 
+    # a weight that is not a number
+    path = out / "svm_hog.model"
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("array weights ")) + 1
+    lines[at] = "x " + lines[at].split(" ", 1)[1]
+    path.write_text("".join(lines))
+    assert _cli("detect", manifest, out) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}:{at + 1}: could not convert string to float: 'x'; rerun 'train-svm'\n"
+    )
+    path.write_text(text)
+
     # a fusion model whose means are one short of its 9 weights per row
     lines = (out / "fusion.model").read_text().splitlines(keepends=True)
     at = lines.index("array feature_means 1 9\n")
@@ -993,6 +1010,35 @@ def test_cli_synth_propose_and_error_paths(tmp_path, capsys):
     assert rc == 1
     assert "fusedet: error:" in captured.err
     assert "run 'extract' first" in captured.err
+
+
+@pytest.mark.parametrize("verb", [*cli.STAGE_VERBS, "all"])
+def test_every_stage_verb_calls_the_stage_on_the_pipeline_module(verb, tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer replaces pipeline.stage_* at run time, so the
+    # CLI has to look each stage up when the verb runs
+    name = "stage_" + verb.replace("-", "_")
+    signature = inspect.signature(getattr(pipeline, name))
+    written = tmp_path / "written.txt"
+    write_report(written, PerClassReport(aps={0: 0.5}, num_gt={0: 1}))  # eval and all print its mAP
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return [written, written] if verb == "train-svm" else written
+
+    monkeypatch.setattr(pipeline, name, stub)
+    argv = [verb, "--out-dir", str(tmp_path)] + ([] if verb == "all" else ["--manifest", "m.txt"])
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert calls[0]["out_dir"] == str(tmp_path)
+    if verb == "all":
+        expected = [f"report {written}"]
+    else:
+        assert calls[0]["manifest_path"] == "m.txt"
+        expected = [f"wrote {written}"] * (2 if verb == "train-svm" else 1)
+    if verb in ("eval", "all"):
+        expected.append("mAP 0.5")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
 
 
 def test_cli_compare_rejects_unnamed_reports(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fusedet.proposals import (
     COLOR_BINS,
     TEXTURE_BINS,
     Regions,
+    SegmentationMap,
     hierarchical_grouping,
     region_adjacency,
     region_descriptors,
@@ -481,6 +482,23 @@ def test_grouping_table_equals_the_rescanning_oracle(inputs):
     got = hierarchical_grouping(table, adjacency, area)
     assert len(got) == 2 * len(table) - 1
     _assert_table_equals_history(got, _oracle_grouping(table, adjacency, area))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_region_adjacency_equals_the_pixel_by_pixel_oracle(data):
+    h, w, k = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)), data.draw(st.integers(1, 6))
+    drawn = data.draw(st.lists(st.integers(0, k - 1), min_size=h * w, max_size=h * w))
+    labels = np.unique(drawn, return_inverse=True)[1].reshape(h, w).astype(np.int32)  # ids contiguous from 0
+    expected = set()
+    for y in range(h):
+        for x in range(w):
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if 0 <= y + dy < h and 0 <= x + dx < w and labels[y, x] != labels[y + dy, x + dx]:
+                        a, b = int(labels[y, x]), int(labels[y + dy, x + dx])
+                        expected.add((min(a, b), max(a, b)))
+    assert region_adjacency(SegmentationMap(w, h, labels)) == expected
 
 
 def _oracle_search(img, k, min_size, sigma, max_boxes):
