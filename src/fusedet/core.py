@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, TextIO
 
+from . import modelio
+
 
 @dataclass(frozen=True)
 class Box:
@@ -148,6 +150,8 @@ def parse_detection_line(line: str, lineno: int = 0, source: Optional[str] = Non
     if not image_id:
         raise ValueError(f"{where}: empty image id")
     try:
+        if not modelio.is_count(parts[1].removeprefix("-")):
+            raise ValueError(f"invalid literal for int() with base 10: {parts[1]!r}")
         category_id = int(parts[1])
         score = float(parts[2])
         coords = [float(p) for p in parts[3:]]

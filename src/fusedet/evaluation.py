@@ -179,6 +179,8 @@ def read_report(path) -> PerClassReport:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'category ap num_gt'")
         try:
+            if not (modelio.is_count(parts[0]) and modelio.is_count(parts[2])):
+                raise ValueError
             cid, ap, n = int(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed report row {line!r}") from None

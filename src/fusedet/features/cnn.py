@@ -40,10 +40,9 @@ def load_cnn_features(path) -> Tuple[Dict[Tuple[str, int], int], np.ndarray]:
                     f"{path}:{lineno}: expected 'image_id proposal_index v1 ...', got {len(parts)} fields"
                 )
             image_id = parts[0]
-            try:
-                proposal_index = int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad proposal index {parts[1]!r}") from None
+            if not modelio.is_count(parts[1].removeprefix("-")):
+                raise ValueError(f"{path}:{lineno}: bad proposal index {parts[1]!r}")
+            proposal_index = int(parts[1])
             if proposal_index < 0:
                 raise ValueError(f"{path}:{lineno}: negative proposal index {proposal_index}")
             try:

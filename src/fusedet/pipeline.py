@@ -56,6 +56,7 @@ from .images import (
     write_pnm,
 )
 from .manifest import DatasetManifest, read_manifest
+from .parallel import map_images, shared_empty
 from .proposals import selective_search
 from .regress import BoxRegressor, refine, train_bbox_regressor
 from .synth import SynthSpec, generate_dataset
@@ -210,18 +211,15 @@ def stage_propose(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     man = read_manifest(manifest_path)
-    per_image = []
-    total = 0
-    for im in man.images:
-        img = read_pnm(man.resolved_path(im))
-        boxes = selective_search(
-            img, cfg.seg_k, cfg.seg_min_size, cfg.seg_sigma, cfg.proposals_max_per_image
-        )
-        per_image.append((im.image_id, boxes))
-        total += len(boxes)
+
+    def image_boxes(i: int) -> List[Box]:
+        img = read_pnm(man.resolved_path(man.images[i]))
+        return selective_search(img, cfg.seg_k, cfg.seg_min_size, cfg.seg_sigma, cfg.proposals_max_per_image)
+
+    boxes = map_images(image_boxes, len(man.images))
     path = proposals_path(out_dir, tag)
-    write_proposals(path, per_image)
-    _run_log(out_dir, "propose", tag, cfg, {"images": len(man.images), "proposals": total})
+    write_proposals(path, [(im.image_id, b) for im, b in zip(man.images, boxes)])
+    _run_log(out_dir, "propose", tag, cfg, {"images": len(man.images), "proposals": sum(map(len, boxes))})
     return path
 
 
@@ -341,30 +339,33 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     counts = np.array([len(props[im.image_id]) for im in man.images], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(counts.sum())
+    box_rows = box_corners([box for im in man.images for box in props[im.image_id]])
+    # the first image fixes the split's channel count, and with it the
+    # embedding width, before any worker starts
+    first = read_pnm(man.resolved_path(man.images[0])) if man.images else None
+    channels = 0 if first is None else first.channels
     ifv_length = fisher_length(pca.dim, gmm.k)
-    box_rows = np.empty((n, 4))
-    hog_rows = np.empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
-    ifv_rows = np.empty((n, ifv_length), np.float32)
-    prior_rows = np.empty((len(man.images), ifv_length), np.float32)
-    cnn_rows = prior_cnn = np.empty((0, 0))
+    cnn_width = channels * CNN_EMBED_SIDE**2
+    hog_rows = shared_empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
+    ifv_rows = shared_empty((n, ifv_length), np.float32)
+    cnn_rows = shared_empty((n, cnn_width), np.float64)
+    prior_rows = shared_empty((len(man.images), ifv_length), np.float32)
+    prior_cnn = shared_empty((len(man.images), cnn_width), np.float64)
 
-    for i, im in enumerate(man.images):
-        img = read_pnm(man.resolved_path(im))
-        if i == 0:
-            first, channels = im.image_id, img.channels
-            cnn_rows = np.empty((n, channels * CNN_EMBED_SIDE**2))
-            prior_cnn = np.empty((len(man.images), channels * CNN_EMBED_SIDE**2))
-        elif img.channels != channels:
+    def image_rows(i: int) -> None:
+        im = man.images[i]
+        img = first if i == 0 else read_pnm(man.resolved_path(im))
+        if img.channels != channels:
             raise ValueError(
-                f"{manifest_path}: image {first} has {channels} channels but image {im.image_id} has "
-                f"{img.channels}; the images of one split must share a channel count"
+                f"{manifest_path}: image {man.images[0].image_id} has {channels} channels but image "
+                f"{im.image_id} has {img.channels}; the images of one split must share a channel count"
             )
         rows = slice(starts[i], starts[i] + counts[i])
-        windows = box_corners(props[im.image_id])
-        box_rows[rows] = windows
         prior_rows[i], prior_cnn[i] = extract_image(
-            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
+            cfg, img, box_rows[rows], pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
+
+    map_images(image_rows, len(man.images))
 
     row_image = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
     row_proposal = (np.arange(n) - np.repeat(starts, counts)).astype(np.int32)

@@ -67,6 +67,16 @@ def test_load_rejects_bad_and_negative_indices(tmp_path):
         load_cnn_features(p)
 
 
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0661"])
+def test_load_rejects_an_index_not_in_plain_decimal_digits(tmp_path, token):
+    # int() reads these as 10, 2 and 1; write_cnn_features never writes them
+    p = tmp_path / "feat.txt"
+    p.write_text(f"img 0 1.0\nimg {token} 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_cnn_features(p)
+    assert str(err.value) == f"{p}:2: bad proposal index {token!r}"
+
+
 def test_load_rejects_malformed_and_nonfinite_values(tmp_path):
     p = tmp_path / "feat.txt"
     p.write_text("img 0 1.0 oops\n")

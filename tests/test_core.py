@@ -254,11 +254,15 @@ _GOOD = "a 0 0.500000 0.000000 0.000000 1.000000 1.000000"
         ("a 0 0.5 1 0 1 1", "box must have positive area"),
         ("a 0 0.5 0 2 1 1", "box must have positive area"),
         ("a -1 0.5 0 0 1 1", "category_id must be non-negative"),
+        # int() reads these three as 10, 2 and 1; write_detections never writes them
+        ("a 1_0 0.5 0 0 1 1", "invalid literal for int() with base 10: '1_0'"),
+        ("a +2 0.5 0 0 1 1", "invalid literal for int() with base 10: '+2'"),
+        ("a \u0661 0.5 0 0 1 1", "invalid literal for int() with base 10: '\u0661'"),
     ],
 )
 def test_a_malformed_detection_line_names_the_file_and_line(tmp_path, bad, message):
     path = tmp_path / "dets.txt"
-    path.write_text(f"{_GOOD}\n\n{bad}\n{_GOOD}\n")
-    with open(path) as fh, pytest.raises(ValueError) as err:
+    path.write_text(f"{_GOOD}\n\n{bad}\n{_GOOD}\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as err:
         read_detections(fh)
     assert str(err.value).startswith(f"{path}:3: {message}")

@@ -313,3 +313,15 @@ def test_read_report_errors(tmp_path):
     p.write_text("category ap num_gt\n0 0.5 1\n0 0.6 1\nmAP 0.55\n")
     with pytest.raises(ValueError, match="duplicate category 0"):
         read_report(p)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0661"])
+@pytest.mark.parametrize("column", ["category", "num_gt"])
+def test_read_report_rejects_counts_not_in_plain_decimal_digits(tmp_path, token, column):
+    # int() reads these as 10, 2 and 1; write_report never writes them
+    row = f"{token} 0.5 1" if column == "category" else f"0 0.5 {token}"
+    p = tmp_path / "r.txt"
+    p.write_text(f"category ap num_gt\n{row}\nmAP 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_report(p)
+    assert str(err.value) == f"{p}:2: malformed report row {row!r}"
