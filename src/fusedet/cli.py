@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_setting
 from .evaluation import mean_ap, read_report
 from .modelio import fmt_float
 from .synth import SynthSpec, generate_dataset
@@ -37,14 +37,14 @@ STAGE_VERBS = {
 def _config_from(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = parse_setting("seed", args.seed, "--seed")
     return cfg
 
 
 def _add_common(p, manifest=True):
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, help="override the configured base seed")
+    p.add_argument("--seed", help="override the configured base seed")
     if manifest:
         p.add_argument(
             "--manifest", required=True, dest="manifest_path", metavar="MANIFEST", help="dataset manifest file"

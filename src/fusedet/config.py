@@ -1,6 +1,8 @@
 """Line-based `key = value` pipeline configuration.
 
-Every tunable has a documented default and range; unknown keys and
+Every tunable is one `PipelineConfig` field that declares its default, its
+parser and its range; its key is the field name with the first `_` read as
+`.` (`ifv_gmm_k` is `ifv.gmm_k`). Unknown keys and malformed or
 out-of-range values are rejected with the offending line number. An empty
 file (or no file) yields the defaults.
 """
@@ -9,47 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from . import modelio
+from .modelio import fmt_float, is_count, parse_real
 
 
-@dataclass
-class PipelineConfig:
-    seed: int = 0
-    seg_k: float = 300.0
-    seg_sigma: float = 0.8
-    seg_min_size: int = 50
-    proposals_max_per_image: int = 2000
-    hog_cells_x: int = 4
-    hog_cells_y: int = 4
-    ifv_patch: int = 16
-    ifv_stride: int = 8
-    ifv_window: int = 64
-    ifv_pca_dim: int = 64
-    ifv_gmm_k: int = 16
-    ifv_gmm_iters: int = 100
-    ifv_gmm_tol: float = 1e-6
-    ifv_variance_floor: float = 1e-4
-    ifv_codebook_samples: int = 20000
-    svm_lambda: float = 1e-3
-    svm_epochs: int = 20
-    svm_negative_cap: int = 5000
-    svm_hard_negatives: bool = False
-    svm_hard_negative_count: int = 500
-    fusion_lambda: float = 1e-3
-    fusion_epochs: int = 20
-    train_pos_iou: float = 0.5
-    train_neg_iou: float = 0.3
-    regress_lambda: float = 1.0
-    regress_match_iou: float = 0.6
-    regress_channel: str = "cnn"
-    nms_iou: float = 0.3
-    eval_iou: float = 0.5
-    prior_feature: str = "ifv"
-    prior_recall: float = 0.95
-    prior_tau: Optional[float] = None  # None means calibrate automatically
+def _count(tok: str) -> int:
+    if not is_count(tok):
+        raise ValueError(f"expected a non-negative integer, got {tok!r}")
+    return int(tok)
 
 
 def _parse_bool(tok: str) -> bool:
@@ -61,7 +32,7 @@ def _parse_bool(tok: str) -> bool:
 def _parse_tau(tok: str) -> Optional[float]:
     if tok == "auto":
         return None
-    return -math.inf if tok == "-inf" else modelio.parse_real(tok)
+    return -math.inf if tok == "-inf" else parse_real(tok)
 
 
 def _choice(*allowed):
@@ -73,42 +44,75 @@ def _choice(*allowed):
     return parse
 
 
-# key -> (attribute, parser, range check, range description)
-_KEYS = {
-    "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
-    "seg.k": ("seg_k", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "seg.sigma": ("seg_sigma", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "seg.min_size": ("seg_min_size", int, lambda v: v >= 1, ">= 1"),
-    "proposals.max_per_image": ("proposals_max_per_image", int, lambda v: v >= 1, ">= 1"),
-    "hog.cells_x": ("hog_cells_x", int, lambda v: v >= 1, ">= 1"),
-    "hog.cells_y": ("hog_cells_y", int, lambda v: v >= 1, ">= 1"),
-    "ifv.patch": ("ifv_patch", int, lambda v: v >= 2, ">= 2"),
-    "ifv.stride": ("ifv_stride", int, lambda v: v >= 1, ">= 1"),
-    "ifv.window": ("ifv_window", int, lambda v: v >= 2, ">= 2"),
-    "ifv.pca_dim": ("ifv_pca_dim", int, lambda v: v >= 1, ">= 1"),
-    "ifv.gmm_k": ("ifv_gmm_k", int, lambda v: v >= 1, ">= 1"),
-    "ifv.gmm_iters": ("ifv_gmm_iters", int, lambda v: v >= 1, ">= 1"),
-    "ifv.gmm_tol": ("ifv_gmm_tol", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "ifv.variance_floor": ("ifv_variance_floor", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "ifv.codebook_samples": ("ifv_codebook_samples", int, lambda v: v >= 1, ">= 1"),
-    "svm.lambda": ("svm_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "svm.epochs": ("svm_epochs", int, lambda v: v >= 1, ">= 1"),
-    "svm.negative_cap": ("svm_negative_cap", int, lambda v: v >= 1, ">= 1"),
-    "svm.hard_negatives": ("svm_hard_negatives", _parse_bool, lambda v: True, "true|false"),
-    "svm.hard_negative_count": ("svm_hard_negative_count", int, lambda v: v >= 0, ">= 0"),
-    "fusion.lambda": ("fusion_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "fusion.epochs": ("fusion_epochs", int, lambda v: v >= 1, ">= 1"),
-    "train.pos_iou": ("train_pos_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "train.neg_iou": ("train_neg_iou", modelio.parse_real, lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "regress.lambda": ("regress_lambda", modelio.parse_real, lambda v: v > 0, "> 0"),
-    "regress.match_iou": ("regress_match_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "regress.channel": ("regress_channel", _choice("cnn", "hog", "ifv"), lambda v: True, "cnn|hog|ifv"),
-    "nms.iou": ("nms_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "eval.iou": ("eval_iou", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "prior.feature": ("prior_feature", _choice("ifv", "cnn"), lambda v: True, "ifv|cnn"),
-    "prior.recall": ("prior_recall", modelio.parse_real, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "prior.tau": ("prior_tau", _parse_tau, lambda v: True, "auto, -inf or a finite real"),
+# range description -> check; the description is what an error prints
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "> 0": lambda v: v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
 }
+
+
+def _key(default, parse, valid: Optional[str] = None):
+    """A config key: its default, the parser of its text and its range in _RANGES."""
+    return field(default=default, metadata={"parse": parse, "range": valid})
+
+
+@dataclass
+class PipelineConfig:
+    seed: int = _key(0, _count, ">= 0")
+    seg_k: float = _key(300.0, parse_real, "> 0")
+    seg_sigma: float = _key(0.8, parse_real, "> 0")
+    seg_min_size: int = _key(50, _count, ">= 1")
+    proposals_max_per_image: int = _key(2000, _count, ">= 1")
+    hog_cells_x: int = _key(4, _count, ">= 1")
+    hog_cells_y: int = _key(4, _count, ">= 1")
+    ifv_patch: int = _key(16, _count, ">= 2")
+    ifv_stride: int = _key(8, _count, ">= 1")
+    ifv_window: int = _key(64, _count, ">= 2")
+    ifv_pca_dim: int = _key(64, _count, ">= 1")
+    ifv_gmm_k: int = _key(16, _count, ">= 1")
+    ifv_gmm_iters: int = _key(100, _count, ">= 1")
+    ifv_gmm_tol: float = _key(1e-6, parse_real, "> 0")
+    ifv_variance_floor: float = _key(1e-4, parse_real, "> 0")
+    ifv_codebook_samples: int = _key(20000, _count, ">= 1")
+    svm_lambda: float = _key(1e-3, parse_real, "> 0")
+    svm_epochs: int = _key(20, _count, ">= 1")
+    svm_negative_cap: int = _key(5000, _count, ">= 1")
+    svm_hard_negatives: bool = _key(False, _parse_bool)
+    svm_hard_negative_count: int = _key(500, _count, ">= 0")
+    fusion_lambda: float = _key(1e-3, parse_real, "> 0")
+    fusion_epochs: int = _key(20, _count, ">= 1")
+    train_pos_iou: float = _key(0.5, parse_real, "in (0, 1]")
+    train_neg_iou: float = _key(0.3, parse_real, "in [0, 1]")
+    regress_lambda: float = _key(1.0, parse_real, "> 0")
+    regress_match_iou: float = _key(0.6, parse_real, "in (0, 1]")
+    regress_channel: str = _key("cnn", _choice("cnn", "hog", "ifv"))
+    nms_iou: float = _key(0.3, parse_real, "in (0, 1]")
+    eval_iou: float = _key(0.5, parse_real, "in (0, 1]")
+    prior_feature: str = _key("ifv", _choice("ifv", "cnn"))
+    prior_recall: float = _key(0.95, parse_real, "in (0, 1]")
+    prior_tau: Optional[float] = _key(None, _parse_tau)  # None means calibrate automatically
+
+
+# key -> its field
+KEYS = {f.name.replace("_", ".", 1): f for f in fields(PipelineConfig)}
+
+
+def parse_setting(key: str, text: str, name: Optional[str] = None):
+    """The value of key written as text, by the key's parser and range.
+    ValueError otherwise, naming the setting as name (default: key)."""
+    name = name or key
+    meta = KEYS[key].metadata
+    try:
+        value = meta["parse"](text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {name}: {exc}") from None
+    if meta["range"] and not _RANGES[meta["range"]](value):
+        raise ValueError(f"{name} = {text} out of range (must be {meta['range']})")
+    return value
 
 
 def load_config(path) -> PipelineConfig:
@@ -121,16 +125,12 @@ def load_config(path) -> PipelineConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _KEYS:
+            if key not in KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            attr, parse, check, desc = _KEYS[key]
             try:
-                parsed = parse(value)
+                setattr(cfg, KEYS[key].name, parse_setting(key, value))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-            if not check(parsed):
-                raise ValueError(f"{path}:{lineno}: {key} = {value} out of range (must be {desc})")
-            setattr(cfg, attr, parsed)
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     _cross_validate(cfg, path)
     return cfg
 
@@ -144,17 +144,15 @@ def _cross_validate(cfg: PipelineConfig, path) -> None:
 
 def config_lines(cfg: PipelineConfig):
     """Canonical `key = value` rendering, one line per key, sorted."""
-    by_attr = {attr: key for key, (attr, _, _, _) in _KEYS.items()}
     out = []
-    for f in fields(cfg):
-        key = by_attr[f.name]
+    for key, f in KEYS.items():
         v = getattr(cfg, f.name)
         if v is None:
             text = "auto"
         elif isinstance(v, bool):
             text = "true" if v else "false"
         elif isinstance(v, float):
-            text = modelio.fmt_float(v)
+            text = fmt_float(v)
         else:
             text = str(v)
         out.append(f"{key} = {text}")

@@ -27,9 +27,9 @@ def fmt_float(x: float) -> str:
 
 
 def parse_real(tok: str) -> float:
-    """tok as a finite float; ValueError quoting tok otherwise."""
+    """tok as a finite float written in ASCII without underscores; ValueError quoting tok otherwise."""
     try:
-        v = float(tok)
+        v = float(tok) if tok.isascii() and "_" not in tok else math.nan
     except ValueError:
         v = math.nan
     if not math.isfinite(v):

@@ -499,6 +499,12 @@ def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[s
     data = _stage_inputs(manifest_path, out_dir, tag)
     man = data.man
     labels, _, _ = _label_rows(cfg, data)
+    background = np.nonzero(labels == -1)[0]
+
+    def fit(X_all, pos, neg, *seed_key):
+        X = np.concatenate([X_all[pos], X_all[neg]])
+        y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+        return train_svm(X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, *seed_key))
 
     paths = []
     for channel in CHANNELS:
@@ -506,30 +512,21 @@ def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[s
         models = {}
         for cid in range(man.n_categories):
             pos = np.nonzero(labels == cid)[0]
-            neg = np.nonzero(labels == -1)[0]
             if len(pos) == 0:
                 raise ValueError(
                     f"category {cid} ({man.categories[cid]}) has no positive proposals; "
                     "cannot train its classifier"
                 )
-            if len(neg) == 0:
+            if len(background) == 0:
                 raise ValueError("no background proposals available for training")
+            neg = background
             if len(neg) > cfg.svm_negative_cap:
                 rng = np.random.default_rng(derive_seed(cfg.seed, "svm-neg", channel, cid))
                 neg = np.sort(rng.choice(neg, size=cfg.svm_negative_cap, replace=False))
-            X = np.concatenate([X_all[pos], X_all[neg]])
-            y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-            model = train_svm(X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, "svm", channel, cid))
+            model = fit(X_all, pos, neg, "svm", channel, cid)
             if cfg.svm_hard_negatives and cfg.svm_hard_negative_count > 0:
-                all_neg = np.nonzero(labels == -1)[0]
-                picks = mine_hard_negatives(model, X_all[all_neg], cfg.svm_hard_negative_count)
-                hard = all_neg[picks]
-                neg = np.unique(np.concatenate([neg, hard]))
-                X = np.concatenate([X_all[pos], X_all[neg]])
-                y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-                model = train_svm(
-                    X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, "svm-hard", channel, cid)
-                )
+                hard = background[mine_hard_negatives(model, X_all[background], cfg.svm_hard_negative_count)]
+                model = fit(X_all, pos, np.unique(np.concatenate([neg, hard])), "svm-hard", channel, cid)
             models[cid] = model
         path = bank_path(data.out_dir, channel)
         LinearBank.from_models(models).save(path)

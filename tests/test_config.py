@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusedet.config import PipelineConfig, config_digest, config_lines, load_config
+from fusedet.config import KEYS, PipelineConfig, config_digest, config_lines, load_config, parse_setting
 
 
 def _load(tmp_path, text):
     p = tmp_path / "cfg"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return load_config(p)
 
 
@@ -71,11 +75,12 @@ def test_tau_rejects_non_finite_values_but_minus_infinity(tmp_path):
     ["seg.k", "seg.sigma", "ifv.gmm_tol", "ifv.variance_floor", "svm.lambda", "fusion.lambda", "regress.lambda"],
 )
 def test_positive_reals_reject_infinity_and_nan(tmp_path, key):
-    for value in ("inf", "1e400", "nan"):
+    for value in ("inf", "1e400", "nan", "1_0", "2.5e1_0", "\u0661.\u0665"):
         with pytest.raises(ValueError) as err:
             _load(tmp_path, f"{key} = {value}\n")
         assert str(err.value) == f"{tmp_path / 'cfg'}:1: bad value for {key}: expected a finite real, got {value!r}"
     assert getattr(_load(tmp_path, f"{key} = 1e300\n"), key.replace(".", "_")) == 1e300
+    assert getattr(_load(tmp_path, f"{key} = 1e+20\n"), key.replace(".", "_")) == 1e20
 
 
 def test_unknown_key_names_the_line(tmp_path):
@@ -101,6 +106,20 @@ def test_malformed_lines(tmp_path):
         _load(tmp_path, "svm.hard_negatives = banana\n")
     with pytest.raises(ValueError, match="expected one of"):
         _load(tmp_path, "regress.channel = dpm\n")
+    # integers are ASCII decimal digits, as in every other text format
+    for key, value in (
+        ("seed", "1_0"),
+        ("seg.min_size", "+5"),
+        ("hog.cells_x", "\u0663"),
+        ("svm.epochs", "-1"),
+        ("seed", "-1"),
+        ("ifv.patch", "2.0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            _load(tmp_path, f"{key} = {value}\n")
+        assert str(err.value) == (
+            f"{tmp_path / 'cfg'}:1: bad value for {key}: expected a non-negative integer, got {value!r}"
+        )
 
 
 def test_cross_field_validation(tmp_path):
@@ -143,3 +162,114 @@ def test_config_digest_tracks_content():
     assert len(config_digest(a)) == 64
     b.seed = 1
     assert config_digest(a) != config_digest(b)
+
+
+ALL_KEYS = [
+    "seed",
+    "seg.k",
+    "seg.sigma",
+    "seg.min_size",
+    "proposals.max_per_image",
+    "hog.cells_x",
+    "hog.cells_y",
+    "ifv.patch",
+    "ifv.stride",
+    "ifv.window",
+    "ifv.pca_dim",
+    "ifv.gmm_k",
+    "ifv.gmm_iters",
+    "ifv.gmm_tol",
+    "ifv.variance_floor",
+    "ifv.codebook_samples",
+    "svm.lambda",
+    "svm.epochs",
+    "svm.negative_cap",
+    "svm.hard_negatives",
+    "svm.hard_negative_count",
+    "fusion.lambda",
+    "fusion.epochs",
+    "train.pos_iou",
+    "train.neg_iou",
+    "regress.lambda",
+    "regress.match_iou",
+    "regress.channel",
+    "nms.iou",
+    "eval.iou",
+    "prior.feature",
+    "prior.recall",
+    "prior.tau",
+]
+
+
+def test_the_key_names_are_pinned(tmp_path):
+    assert len(ALL_KEYS) == 33
+    assert set(KEYS) == set(ALL_KEYS)
+    lines = config_lines(PipelineConfig())
+    assert [line.split(" = ")[0] for line in lines] == sorted(ALL_KEYS)
+    assert _load(tmp_path, "\n".join(lines)) == PipelineConfig()
+    for key in ("seg_min_size", "seg.min.size", "min_size"):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            _load(tmp_path, f"{key} = 5\n")
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+# a draw inside each declared range; the choices are the documented ones
+_INTS = {">= 0": 0, ">= 1": 1, ">= 2": 2}
+_REALS = {
+    "> 0": st.floats(min_value=0.0, exclude_min=True, **_FINITE),
+    "in (0, 1]": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    "in [0, 1]": st.floats(min_value=0.0, max_value=1.0),
+}
+_OTHERS = {
+    "svm.hard_negatives": st.booleans(),
+    "regress.channel": st.sampled_from(["cnn", "hog", "ifv"]),
+    "prior.feature": st.sampled_from(["ifv", "cnn"]),
+    "prior.tau": st.none() | st.just(-math.inf) | st.floats(**_FINITE),
+}
+
+
+def _strategy(key):
+    if key in _OTHERS:
+        return _OTHERS[key]
+    valid = KEYS[key].metadata["range"]
+    if valid in _INTS:
+        return st.integers(min_value=_INTS[valid], max_value=10**30)
+    return _REALS[valid]
+
+
+@st.composite
+def _configs(draw):
+    cfg = PipelineConfig(**{KEYS[key].name: draw(_strategy(key)) for key in ALL_KEYS})
+    # the two cross-field rules of load_config
+    return dataclasses.replace(
+        cfg,
+        ifv_window=max(cfg.ifv_window, cfg.ifv_patch),
+        ifv_codebook_samples=max(cfg.ifv_codebook_samples, cfg.ifv_gmm_k),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_configs())
+def test_every_key_round_trips_through_config_lines(tmp_path_factory, cfg):
+    p = tmp_path_factory.mktemp("cfg") / "cfg"
+    p.write_text("\n".join(config_lines(cfg)) + "\n")
+    assert load_config(p) == cfg
+
+
+def _readme_config_rows():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows, "README's Configuration section has no key rows"
+    for row in rows:
+        keys_cell, defaults_cell = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        keys = re.findall(r"`([^`]+)`", keys_cell)
+        defaults = [d.strip() for d in defaults_cell.split(",")]
+        assert len(keys) == len(defaults), row
+        yield from zip(keys, defaults)
+
+
+def test_readme_config_table_states_the_declared_defaults():
+    for key, default in _readme_config_rows():
+        assert key in KEYS, f"README names unknown key {key!r}"
+        assert parse_setting(key, default) == KEYS[key].default, f"README states {key} = {default}"

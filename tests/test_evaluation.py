@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet import modelio
 from fusedet.core import Box, Detection, GroundTruth, iou
@@ -294,6 +296,23 @@ def test_report_file_round_trip_and_recompute(tmp_path):
     assert loaded.aps == report.aps
     assert loaded.num_gt == report.num_gt
     assert mean_ap(loaded) == mean_ap(report)
+
+
+@st.composite
+def _reports(draw):
+    categories = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    return PerClassReport(
+        aps={cid: draw(st.floats(0.0, 1.0)) for cid in categories},
+        num_gt={cid: draw(st.integers(1, 10**9)) for cid in categories},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=_reports())
+def test_any_report_round_trips(tmp_path_factory, report):
+    path = tmp_path_factory.mktemp("report") / "r.txt"
+    write_report(path, report)
+    assert read_report(path) == report
 
 
 def test_read_report_errors(tmp_path):

@@ -132,6 +132,21 @@ _SHAPE = "must be 'category_id x_min y_min x_max y_max'"
             "malformed ground truth '0 1 nan 3 5': expected a finite real, got 'nan'",
         ),
         (
+            "1 disk\nim_0 a.ppm 1\n0 1 2 1_0 5\n",
+            3,
+            "malformed ground truth '0 1 2 1_0 5': expected a finite real, got '1_0'",
+        ),
+        (
+            "1 disk\nim_0 a.ppm 1\n0 1 2 2.5e1_0 5\n",
+            3,
+            "malformed ground truth '0 1 2 2.5e1_0 5': expected a finite real, got '2.5e1_0'",
+        ),
+        (
+            "1 disk\nim_0 a.ppm 1\n0 1 2 \u0661.\u0665 5\n",
+            3,
+            "malformed ground truth '0 1 2 \u0661.\u0665 5': expected a finite real, got '\u0661.\u0665'",
+        ),
+        (
             "1 disk\nim_0 a.ppm 1\n0 1 2 1 5\n",
             3,
             "malformed ground truth '0 1 2 1 5': box must have positive area, got (1.0, 2.0, 1.0, 5.0)",

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fusedet.modelio import fmt_float, read_model, write_model
 
@@ -112,3 +115,21 @@ def test_extreme_values_survive_the_container(tmp_path):
     write_model(path, "gmm", {}, {"x": arr})
     _, arrays = read_model(path, "gmm")
     assert np.array_equal(arrays["x"], arr)
+
+
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.just(-np.inf)
+_ARRAYS = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(named=st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), _ARRAYS, max_size=4))
+def test_any_finite_or_minus_infinite_array_round_trips_bit_for_bit(tmp_path_factory, named):
+    path = tmp_path_factory.mktemp("model") / "m.txt"
+    write_model(path, "gmm", {"dim": "3"}, named)
+    meta, got = read_model(path, "gmm")
+    assert meta == {"dim": "3"}
+    assert list(got) == list(named)
+    for name, arr in named.items():
+        assert got[name].dtype == np.float64
+        assert got[name].shape == arr.shape
+        assert got[name].tobytes() == arr.tobytes()

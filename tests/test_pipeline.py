@@ -125,6 +125,9 @@ def test_read_proposals_errors(tmp_path):
         ("im_0 \u0661\n0 0 5 5\n", "1: bad box count '\u0661'"),
         ("im_0 1\n\n0 0 a 5\n", "3: expected a finite real, got 'a'"),
         ("im_0 1\n0 0 inf 5\n", "2: expected a finite real, got 'inf'"),
+        ("im_0 1\n0 0 1_0 5\n", "2: expected a finite real, got '1_0'"),
+        ("im_0 1\n0 0 2.5e1_0 5\n", "2: expected a finite real, got '2.5e1_0'"),
+        ("im_0 1\n0 0 \u0661.\u0665 5\n", "2: expected a finite real, got '\u0661.\u0665'"),
         ("im_0 0\nim_1 1\n0 0 0 5\n", "3: box must have positive area, got (0.0, 0.0, 0.0, 5.0)"),
     ):
         p.write_text(text, encoding="utf-8")
@@ -1039,6 +1042,17 @@ def test_every_stage_verb_calls_the_stage_on_the_pipeline_module(verb, tmp_path,
     if verb in ("eval", "all"):
         expected.append("mAP 0.5")
     assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+
+@pytest.mark.parametrize("verb", ["propose", "train-svm", "all"])
+@pytest.mark.parametrize("seed", ["-1", "1_0", "+5", "\u0663"])
+def test_cli_seed_obeys_the_rule_of_the_seed_key(verb, seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "stage_" + verb.replace("-", "_"), lambda *a, **k: pytest.fail("stage ran"))
+    argv = [verb, "--out-dir", str(tmp_path), "--seed", seed] + ([] if verb == "all" else ["--manifest", "m.txt"])
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fusedet: error: bad value for --seed: expected a non-negative integer, got {seed!r}\n"
 
 
 def test_cli_compare_rejects_unnamed_reports(tmp_path, capsys):
