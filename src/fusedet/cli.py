@@ -14,7 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .config import PipelineConfig, load_config, parse_setting
 from .evaluation import mean_ap, read_report
-from .modelio import fmt_float
+from .modelio import fmt_float, is_count
 from .synth import SynthSpec, generate_dataset
 
 # The stage verbs in chain order, with their help lines. Each of them, and
@@ -32,6 +32,27 @@ STAGE_VERBS = {
     "eval": "match detections and write the AP report",
     "render": "draw detection overlays as PPM images",
 }
+
+
+# the count options of `synth` and `all`, by dest. argparse keeps their text,
+# and _count reads it, so that a bad value fails naming its option as the
+# stage verbs' --seed does
+_COUNT_OPTIONS = {
+    "images": "--images",
+    "train_images": "--train-images",
+    "test_images": "--test-images",
+    "classes": "--classes",
+    "max_shapes": "--max-shapes",
+    "image_size": "--size",
+}
+
+
+def _count(option: str, text: str) -> int:
+    """text, the value of a count option, as an int; ValueError naming the
+    option unless text is a count by modelio.is_count."""
+    if not is_count(text):
+        raise ValueError(f"bad value for {option}: expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -54,10 +75,10 @@ def _add_common(p, manifest=True):
 
 def _add_dataset(p):
     """The synthetic-dataset options of `synth` and `all`."""
-    p.add_argument("--classes", type=int, default=SynthSpec.n_classes)
-    p.add_argument("--max-shapes", type=int, default=SynthSpec.max_shapes)
+    p.add_argument("--classes", default=str(SynthSpec.n_classes))
+    p.add_argument("--max-shapes", default=str(SynthSpec.max_shapes))
     p.add_argument("--noise", type=float, default=SynthSpec.noise)
-    p.add_argument("--size", type=int, default=SynthSpec.image_size, dest="image_size", metavar="SIZE")
+    p.add_argument("--size", default=str(SynthSpec.image_size), dest="image_size", metavar="SIZE")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--images", type=int, default=SynthSpec.n_images)
+    p.add_argument("--images", default=str(SynthSpec.n_images))
     _add_dataset(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--prefix", default="img")
 
     stages = {verb: sub.add_parser(verb, help=text) for verb, text in STAGE_VERBS.items()}
@@ -96,14 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, manifest=False)
     p.add_argument("--train-manifest")
     p.add_argument("--test-manifest")
-    p.add_argument("--train-images", type=int, default=200)
-    p.add_argument("--test-images", type=int, default=50)
+    p.add_argument("--train-images", default="200")
+    p.add_argument("--test-images", default="50")
     _add_dataset(p)
 
     return ap
 
 
 def _run(args) -> int:
+    for dest, option in _COUNT_OPTIONS.items():
+        if dest in args:
+            setattr(args, dest, _count(option, getattr(args, dest)))
     if args.verb == "synth":
         spec = SynthSpec(
             n_classes=args.classes,
@@ -112,7 +136,7 @@ def _run(args) -> int:
             noise=args.noise,
             image_size=args.image_size,
         )
-        manifest = generate_dataset(args.out_dir, spec, args.seed, prefix=args.prefix)
+        manifest = generate_dataset(args.out_dir, spec, _count("--seed", args.seed), prefix=args.prefix)
         print(f"wrote {len(manifest.images)} images under {args.out_dir}")
         return 0
 

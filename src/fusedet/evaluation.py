@@ -181,7 +181,7 @@ def read_report(path) -> PerClassReport:
         try:
             if not (modelio.is_count(parts[0]) and modelio.is_count(parts[2])):
                 raise ValueError
-            cid, ap, n = int(parts[0]), float(parts[1]), int(parts[2])
+            cid, ap, n = int(parts[0]), modelio.parse_real(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed report row {line!r}") from None
         if cid in aps:

@@ -5,7 +5,8 @@ The interchange format is one record per line:
     image_id proposal_index v1 v2 ... vM
 
 The vector width M is fixed by the first record; image_id must not contain
-whitespace. Records are keyed by (image_id, proposal_index).
+whitespace, and the values are finite reals written in ASCII without
+underscores. Records are keyed by (image_id, proposal_index).
 
 The text is the interchange format and the only source of truth. The
 pipeline parses each text once per content: the features archive of the
@@ -17,52 +18,90 @@ is still raised from the text.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+import os
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .. import modelio
+from ..parallel import map_indices, shared_empty, usable_cpus, worker_count
+
+# the least text a parse block holds: a worker takes about as long to start
+# as half a megabyte takes to parse, so a text under two blocks is parsed
+# in the calling process
+BLOCK_BYTES = 1 << 20
+
+
+def _vector(line: str, width: int, path, lineno: int) -> Tuple[Tuple[str, int], np.ndarray]:
+    """The key and vector of one stripped, non-blank record line; ValueError
+    naming path and lineno when the line breaks a rule other than the
+    uniqueness of its key. width is the width of the file's first record."""
+    parts = line.split(None, 2)
+    if len(parts) < 3:
+        raise ValueError(f"{path}:{lineno}: expected 'image_id proposal_index v1 ...', got {len(parts)} fields")
+    image_id, index, rest = parts
+    if not modelio.is_count(index.removeprefix("-")):
+        raise ValueError(f"{path}:{lineno}: bad proposal index {index!r}")
+    proposal_index = int(index)
+    if proposal_index < 0:
+        raise ValueError(f"{path}:{lineno}: negative proposal index {proposal_index}")
+    try:
+        if not modelio.is_plain(rest):
+            raise ValueError
+        vector = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed feature value") from None
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"{path}:{lineno}: non-finite feature value")
+    if len(vector) != width:
+        raise ValueError(f"{path}:{lineno}: vector has {len(vector)} values, expected {width}")
+    return (image_id, proposal_index), vector
 
 
 def load_cnn_features(path) -> Tuple[Dict[Tuple[str, int], int], np.ndarray]:
     """The records of a features file: a map from (image_id, proposal_index)
-    to row, and the (records, M) float64 matrix of the vectors in file order."""
-    index: Dict[Tuple[str, int], int] = {}
-    rows: List[np.ndarray] = []
+    to row, and the (records, M) float64 matrix of the vectors in file order.
+
+    The non-blank lines are cut into contiguous blocks of at least
+    BLOCK_BYTES of text, at most one per worker (`parallel.map_indices`).
+    Each block's worker checks its lines, writes their vectors into the
+    shared matrix, and returns the keys it read before its first bad line,
+    with that line's error. Walking the blocks in order, this process checks
+    that every key is new, so the error raised is that of the first bad
+    line, whatever the worker count.
+    """
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'image_id proposal_index v1 ...', got {len(parts)} fields"
-                )
-            image_id = parts[0]
-            if not modelio.is_count(parts[1].removeprefix("-")):
-                raise ValueError(f"{path}:{lineno}: bad proposal index {parts[1]!r}")
-            proposal_index = int(parts[1])
-            if proposal_index < 0:
-                raise ValueError(f"{path}:{lineno}: negative proposal index {proposal_index}")
-            try:
-                vector = np.array([float(tok) for tok in parts[2:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed feature value") from None
-            if not np.all(np.isfinite(vector)):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value")
-            if rows and len(vector) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: vector has {len(vector)} values, expected {len(rows[0])}"
-                )
-            key = (image_id, proposal_index)
-            if key in index:
-                raise ValueError(f"{path}:{lineno}: duplicate key ({image_id!r}, {proposal_index})")
-            index[key] = len(rows)
-            rows.append(vector)
-    if not rows:
+        lines = fh.readlines()
+        size = os.fstat(fh.fileno()).st_size
+    records = [n for n, line in enumerate(lines) if not line.isspace()]
+    if not records:
         raise ValueError(f"{path}: no feature records found")
-    return index, np.stack(rows)
+    width = len(lines[records[0]].split()) - 2
+    matrix = shared_empty((len(records), max(width, 0)), np.float64)
+    blocks = worker_count(usable_cpus(), min(len(records), size // BLOCK_BYTES))
+    cuts = [len(records) * b // blocks for b in range(blocks + 1)]
+
+    def parse_block(b: int) -> Tuple[List[Tuple[int, Tuple[str, int]]], Optional[ValueError]]:
+        keys = []
+        for row in range(cuts[b], cuts[b + 1]):
+            lineno = records[row] + 1
+            try:
+                key, vector = _vector(lines[records[row]].strip(), width, path, lineno)
+            except ValueError as exc:
+                return keys, exc
+            matrix[row] = vector
+            keys.append((lineno, key))
+        return keys, None
+
+    index: Dict[Tuple[str, int], int] = {}
+    for keys, error in map_indices(parse_block, blocks):
+        for lineno, key in keys:
+            if key in index:
+                raise ValueError(f"{path}:{lineno}: duplicate key ({key[0]!r}, {key[1]})")
+            index[key] = len(index)
+        if error is not None:
+            raise error
+    return index, matrix
 
 
 def write_cnn_features(

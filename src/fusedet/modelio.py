@@ -26,10 +26,17 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def is_plain(text: str) -> bool:
+    """Whether text is ASCII without underscores, the only form in which the
+    readers take numbers: float() and int() also read '1_0' as 10, and digits
+    of other scripts."""
+    return text.isascii() and "_" not in text
+
+
 def parse_real(tok: str) -> float:
     """tok as a finite float written in ASCII without underscores; ValueError quoting tok otherwise."""
     try:
-        v = float(tok) if tok.isascii() and "_" not in tok else math.nan
+        v = float(tok) if is_plain(tok) else math.nan
     except ValueError:
         v = math.nan
     if not math.isfinite(v):
@@ -91,13 +98,19 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
                 raise ValueError(f"{path}: truncated array {name!r}")
             data = np.empty((rows, cols), dtype=np.float64)
             for r in range(rows):
+                row = lines[i + 1 + r]
                 # a zero-column row serializes as an empty line
-                vals = lines[i + 1 + r].split(" ") if lines[i + 1 + r] else []
+                vals = row.split(" ") if row else []
                 if len(vals) != cols:
                     raise ValueError(
                         f"{path}: array {name!r} row {r} has {len(vals)} values, expected {cols}"
                     )
                 try:
+                    # float() as is, since the presence gate's thresholds
+                    # need -inf; the checks for finite values are the models'
+                    if not is_plain(row):
+                        bad = next(v for v in vals if not is_plain(v))
+                        raise ValueError(f"expected a real in ASCII without underscores, got {bad!r}")
                     data[r] = [float(v) for v in vals]
                 except ValueError as exc:
                     raise ValueError(f"{path}:{i + 2 + r}: {exc}") from None

@@ -1,12 +1,21 @@
-"""Per-image work spread over forked worker processes.
+"""Independent pieces of a stage's work spread over forked worker processes.
 
-Every image of a split is independent of the others in propose and extract,
-so `map_images` runs a stage's per-image function over forked workers, one
-per CPU the process may use, and returns the results in image order. A
-worker is a fork of the stage's process: it sees the stage's data as it was
-at the fork, and writes its rows into arrays from `shared_empty`, which the
-stage then reads. Outputs do not depend on the worker count, and there is no
-setting for it.
+`map_indices` runs a function of an index over forked workers, one per CPU
+the process may use, and returns the results in index order. A worker is a
+fork of the calling process: it sees the caller's data as it was at the
+fork, and writes its rows into arrays from `shared_empty`, which the caller
+then reads. Outputs do not depend on the worker count, and there is no
+setting for it. Four places use it:
+
+- propose and extract, over the images of a split, each independent of the
+  others;
+- train-svm, over its (channel, category) fits, each with its own seed;
+- `features.cnn.load_cnn_features`, over contiguous blocks of a CNN text's
+  lines, whose vectors go into one shared matrix.
+
+train-fusion and train-prior stay in one process: each fits one small model
+per category, and all of its fits together cost about as much as starting
+the workers does.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ _BLAS_SETTERS = (
 )
 
 
-def worker_count(cpus: int, images: int) -> int:
-    """How many processes share a split's per-image work: one per CPU the
-    process may use, at most one per image and at most MAX_WORKERS. One
+def worker_count(cpus: int, indices: int) -> int:
+    """How many processes share the work on that many indices: one per CPU
+    the process may use, at most one per index and at most MAX_WORKERS. One
     means the work runs in the calling process."""
-    return max(1, min(cpus, images, MAX_WORKERS))
+    return max(1, min(cpus, indices, MAX_WORKERS))
 
 
 def shared_empty(shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -85,7 +94,7 @@ def _release_free_heap() -> None:
             trim(0)
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on, where the system says (Linux); else 1,
     and the work stays in this process."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -104,19 +113,19 @@ def _run(i: int):
     return _work(i)
 
 
-def map_images(work: Callable[[int], T], n: int) -> List[T]:
+def map_indices(work: Callable[[int], T], n: int) -> List[T]:
     """[work(0), ..., work(n - 1)], spread over forked worker processes when
     this process may use more than one CPU, else computed in this process.
 
     The workers are forks, so work may close over anything, including
-    shared_empty arrays that it fills in; only an image's index and work's
-    result are pickled between processes. Results come back in index order,
-    so the first image that fails raises its exception here, as a plain loop
-    would; the images not yet started are then dropped. No worker outlives
-    the call.
+    shared_empty arrays that it fills in; only an index and work's result
+    are pickled between processes. Results come back in index order, so the
+    first index that fails raises its exception here, as a plain loop would;
+    the indices not yet started are then dropped. No worker outlives the
+    call.
     """
     _release_free_heap()
-    workers = worker_count(_usable_cpus(), n)
+    workers = worker_count(usable_cpus(), n)
     if workers == 1:
         return [work(i) for i in range(n)]
     # unlike multiprocessing.Pool, which waits forever for the result of a

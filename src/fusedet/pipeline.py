@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cache, modelio
-from .classify import LinearBank, fuse_scores, mine_hard_negatives, train_fusion, train_svm
+from .classify import LinearBank, LinearModel, fuse_scores, mine_hard_negatives, train_fusion, train_svm
 from .config import PipelineConfig, config_digest
 from .context import (
     filter_detections,
@@ -56,7 +56,7 @@ from .images import (
     write_pnm,
 )
 from .manifest import DatasetManifest, read_manifest
-from .parallel import map_images, shared_empty
+from .parallel import map_indices, shared_empty
 from .proposals import selective_search
 from .regress import BoxRegressor, refine, train_bbox_regressor
 from .synth import SynthSpec, generate_dataset
@@ -216,7 +216,7 @@ def stage_propose(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
         img = read_pnm(man.resolved_path(man.images[i]))
         return selective_search(img, cfg.seg_k, cfg.seg_min_size, cfg.seg_sigma, cfg.proposals_max_per_image)
 
-    boxes = map_images(image_boxes, len(man.images))
+    boxes = map_indices(image_boxes, len(man.images))
     path = proposals_path(out_dir, tag)
     write_proposals(path, [(im.image_id, b) for im, b in zip(man.images, boxes)])
     _run_log(out_dir, "propose", tag, cfg, {"images": len(man.images), "proposals": sum(map(len, boxes))})
@@ -365,7 +365,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
             cfg, img, box_rows[rows], pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
 
-    map_images(image_rows, len(man.images))
+    map_indices(image_rows, len(man.images))
 
     row_image = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
     row_proposal = (np.arange(n) - np.repeat(starts, counts)).astype(np.int32)
@@ -498,40 +498,45 @@ def _label_rows(cfg, data: _StageInputs):
 def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None):
     data = _stage_inputs(manifest_path, out_dir, tag)
     man = data.man
+    n_cat = man.n_categories
     labels, _, _ = _label_rows(cfg, data)
     background = np.nonzero(labels == -1)[0]
+    positives = [np.nonzero(labels == cid)[0] for cid in range(n_cat)]
+    for cid, pos in enumerate(positives):
+        if len(pos) == 0:
+            raise ValueError(
+                f"category {cid} ({man.categories[cid]}) has no positive proposals; "
+                "cannot train its classifier"
+            )
+        if len(background) == 0:
+            raise ValueError("no background proposals available for training")
 
     def fit(X_all, pos, neg, *seed_key):
         X = np.concatenate([X_all[pos], X_all[neg]])
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
         return train_svm(X, y, cfg.svm_lambda, cfg.svm_epochs, derive_seed(cfg.seed, *seed_key))
 
+    def channel_model(task: int) -> LinearModel:
+        """The classifier of category task % n_cat on channel task // n_cat."""
+        channel, cid = CHANNELS[task // n_cat], task % n_cat
+        X_all, pos, neg = data.channels[channel], positives[cid], background
+        if len(neg) > cfg.svm_negative_cap:
+            rng = np.random.default_rng(derive_seed(cfg.seed, "svm-neg", channel, cid))
+            neg = np.sort(rng.choice(neg, size=cfg.svm_negative_cap, replace=False))
+        model = fit(X_all, pos, neg, "svm", channel, cid)
+        if cfg.svm_hard_negatives and cfg.svm_hard_negative_count > 0:
+            hard = background[mine_hard_negatives(model, X_all[background], cfg.svm_hard_negative_count)]
+            model = fit(X_all, pos, np.unique(np.concatenate([neg, hard])), "svm-hard", channel, cid)
+        return model
+
+    # every fit is independent of the others and has its own seed
+    models = map_indices(channel_model, len(CHANNELS) * n_cat)
     paths = []
-    for channel in CHANNELS:
-        X_all = data.channels[channel]
-        models = {}
-        for cid in range(man.n_categories):
-            pos = np.nonzero(labels == cid)[0]
-            if len(pos) == 0:
-                raise ValueError(
-                    f"category {cid} ({man.categories[cid]}) has no positive proposals; "
-                    "cannot train its classifier"
-                )
-            if len(background) == 0:
-                raise ValueError("no background proposals available for training")
-            neg = background
-            if len(neg) > cfg.svm_negative_cap:
-                rng = np.random.default_rng(derive_seed(cfg.seed, "svm-neg", channel, cid))
-                neg = np.sort(rng.choice(neg, size=cfg.svm_negative_cap, replace=False))
-            model = fit(X_all, pos, neg, "svm", channel, cid)
-            if cfg.svm_hard_negatives and cfg.svm_hard_negative_count > 0:
-                hard = background[mine_hard_negatives(model, X_all[background], cfg.svm_hard_negative_count)]
-                model = fit(X_all, pos, np.unique(np.concatenate([neg, hard])), "svm-hard", channel, cid)
-            models[cid] = model
+    for c, channel in enumerate(CHANNELS):
         path = bank_path(data.out_dir, channel)
-        LinearBank.from_models(models).save(path)
+        LinearBank.from_models(dict(enumerate(models[c * n_cat : (c + 1) * n_cat]))).save(path)
         paths.append(path)
-    _run_log(data.out_dir, "train-svm", data.tag, cfg, {"categories": man.n_categories, "rows": len(labels)})
+    _run_log(data.out_dir, "train-svm", data.tag, cfg, {"categories": n_cat, "rows": len(labels)})
     return paths
 
 

@@ -90,6 +90,25 @@ def test_load_rejects_malformed_and_nonfinite_values(tmp_path):
         load_cnn_features(p)
 
 
+@pytest.mark.parametrize("line", ["img 0 1_0 2", "img 1 \u0661 3", "img 1 2\u00a03"])
+def test_load_rejects_values_not_in_ascii_or_with_underscores(tmp_path, line):
+    # float() reads 1_0 as 10.0 and the Arabic-Indic one as 1.0, and split()
+    # takes the no-break space for a separator; write_cnn_features writes none
+    p = tmp_path / "feat.txt"
+    p.write_text(f"img 5 1.0 2.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_cnn_features(p)
+    assert str(err.value) == f"{p}:2: malformed feature value"
+
+
+def test_load_takes_image_ids_in_any_script(tmp_path):
+    p = tmp_path / "feat.txt"
+    p.write_text("b\u00e4r_1 0 1.0 2.0\n\u0661 3 3.0 4.0\n", encoding="utf-8")
+    index, matrix = load_cnn_features(p)
+    assert index == {("b\u00e4r_1", 0): 0, ("\u0661", 3): 1}
+    assert np.array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_rejects_duplicate_keys_naming_line(tmp_path):
     p = tmp_path / "feat.txt"
     p.write_text("img 0 1.0\nimg 0 2.0\n")
@@ -135,7 +154,9 @@ def test_write_then_load_round_trips_any_records(tmp_path_factory, records):
 @given(
     records=_records(),
     at=st.integers(0, 12),
-    bad=st.sampled_from(["img", "img x 1.0", "img -1 1.0", "img 0 oops", "img 0 nan", "img 0 -inf"]),
+    bad=st.sampled_from(
+        ["img", "img x 1.0", "img -1 1.0", "img 0 oops", "img 0 nan", "img 0 -inf", "img 0 1_0", "img 1 \u0661"]
+    ),
 )
 def test_a_malformed_record_anywhere_is_rejected_with_its_line(tmp_path_factory, records, at, bad):
     p = tmp_path_factory.mktemp("cnn") / "feat.txt"
@@ -143,6 +164,6 @@ def test_a_malformed_record_anywhere_is_rejected_with_its_line(tmp_path_factory,
     lines = p.read_text().splitlines(keepends=True)
     at = min(at, len(lines))
     lines.insert(at, bad + "\n")
-    p.write_text("".join(lines))
+    p.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"feat.txt:{at + 1}: "):
         load_cnn_features(p)

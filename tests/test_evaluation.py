@@ -334,6 +334,17 @@ def test_read_report_errors(tmp_path):
         read_report(p)
 
 
+@pytest.mark.parametrize("ap", ["0.5_0", "nan", "inf", "\u0661"])
+def test_read_report_rejects_an_ap_that_is_not_a_finite_ascii_real(tmp_path, ap):
+    # float() reads these as 0.5, nan, inf and 1.0; write_report never writes them
+    row = f"0 {ap} 1"
+    p = tmp_path / "r.txt"
+    p.write_text(f"category ap num_gt\n{row}\nmAP 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_report(p)
+    assert str(err.value) == f"{p}:2: malformed report row {row!r}"
+
+
 @pytest.mark.parametrize("token", ["1_0", "+2", "\u0661"])
 @pytest.mark.parametrize("column", ["category", "num_gt"])
 def test_read_report_rejects_counts_not_in_plain_decimal_digits(tmp_path, token, column):

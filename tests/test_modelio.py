@@ -96,6 +96,10 @@ def test_read_rejects_malformed_bodies(tmp_path):
     with pytest.raises(ValueError) as err:
         read_model(p, "gmm")
     assert str(err.value) == f"{p}:4: could not convert string to float: 'x'"
+    p.write_text("fusedet-model 1 gmm\narray w 2 2\n1 -inf\n1_0 nan\nend\n")
+    with pytest.raises(ValueError) as err:
+        read_model(p, "gmm")  # float() reads 1_0 as 10
+    assert str(err.value) == f"{p}:4: expected a real in ASCII without underscores, got '1_0'"
     p.write_text("fusedet-model 1 gmm\nbogus line\nend\n")
     with pytest.raises(ValueError, match="unrecognized line 2"):
         read_model(p, "gmm")

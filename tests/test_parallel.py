@@ -1,24 +1,29 @@
-"""Per-image work over forked workers: the worker count, and outputs and
-errors that do not depend on it.
+"""Work over forked workers (propose and extract over images, train-svm over
+its fits, the CNN text parse over blocks of lines): the worker count, and
+outputs and errors that do not depend on it.
 
 One worker is forced by giving the process one CPU (`os.sched_getaffinity`
 as `fusedet.parallel` reads it), two workers by giving it two.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fusedet import cli, parallel
 from fusedet.config import PipelineConfig
+from fusedet.features import cnn
+from fusedet.features.cnn import load_cnn_features, write_cnn_features
 from fusedet.images import Image, read_pnm, write_pnm
 from fusedet.manifest import read_manifest, write_manifest
-from fusedet.parallel import map_images, shared_empty, worker_count
-from fusedet.pipeline import stage_extract, stage_propose
+from fusedet.parallel import map_indices, shared_empty, worker_count
+from fusedet.pipeline import stage_extract, stage_propose, stage_train_svm
 from fusedet.synth import SynthSpec, generate_dataset
 
 
@@ -61,7 +66,7 @@ def _front(manifest, out):
 )
 def test_worker_count_is_one_per_cpu_within_the_images_and_a_small_ceiling(monkeypatch, cpus, images, workers):
     _cpus(monkeypatch, cpus)
-    assert worker_count(parallel._usable_cpus(), images) == workers
+    assert worker_count(parallel.usable_cpus(), images) == workers
 
 
 @pytest.mark.parametrize("images", [0, 1])
@@ -72,7 +77,7 @@ def test_zero_or_one_image_runs_in_process(monkeypatch, images):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(parallel.multiprocessing, "get_context", no_pool)
-    assert map_images(lambda i: i * 10, images) == [0][:images]
+    assert map_indices(lambda i: i * 10, images) == [0][:images]
 
 
 def test_shared_empty_has_the_shape_and_dtype_asked_for():
@@ -89,7 +94,7 @@ def test_workers_write_rows_the_caller_reads(monkeypatch):
         rows[i] = (i, os.getpid())
         return i * i
 
-    assert map_images(fill, 5) == [0, 1, 4, 9, 16]
+    assert map_indices(fill, 5) == [0, 1, 4, 9, 16]
     assert rows[:, 0].tolist() == [0, 1, 2, 3, 4]
     assert set(rows[:, 1].tolist()) - {os.getpid()}  # some rows came from another process
     assert multiprocessing.active_children() == []
@@ -107,7 +112,7 @@ def work(i):
     return i
 
 try:
-    parallel.map_images(work, 4)
+    parallel.map_indices(work, 4)
 except BrokenProcessPool:
     print("raised", multiprocessing.active_children())
 """
@@ -134,6 +139,83 @@ def test_propose_and_extract_write_the_same_bytes_under_one_worker_and_two(tmp_p
     assert {"proposals_data.txt", "features_data.npz", "cnn_data.txt", "cnn_images_data.txt",
             "runlog_propose_data.txt", "runlog_extract_data.txt"} <= set(written[1])
     assert multiprocessing.active_children() == []
+
+
+def test_train_svm_writes_the_same_banks_under_one_worker_and_two(tmp_path, monkeypatch):
+    manifest = _split(tmp_path / "data", 8)
+    out = tmp_path / "out"
+    _cpus(monkeypatch, 1)
+    _front(manifest, out)
+    # the negative subsample and the hard-negative round run in the workers too
+    cfg = dataclasses.replace(
+        _cfg(), svm_epochs=3, svm_negative_cap=40, svm_hard_negatives=True, svm_hard_negative_count=10
+    )
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        run = tmp_path / f"run{cpus}"
+        shutil.copytree(out, run)
+        paths = stage_train_svm(cfg, manifest, run)
+        assert [p.name for p in paths] == ["svm_cnn.model", "svm_hog.model", "svm_ifv.model"]
+        written[cpus] = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+        assert multiprocessing.active_children() == []
+    assert written[1] == written[2]
+
+
+def _blocks(monkeypatch):
+    """Makes every CNN text worth two parse blocks; the block counts that
+    load_cnn_features asks parallel.map_indices for."""
+    monkeypatch.setattr(cnn, "BLOCK_BYTES", 1)
+    asked = []
+
+    def counted(work, n):
+        asked.append(n)
+        return map_indices(work, n)
+
+    monkeypatch.setattr(cnn, "map_indices", counted)
+    return asked
+
+
+def test_a_cnn_text_parses_to_the_same_index_and_bits_under_one_worker_and_two(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    p = tmp_path / "feat.txt"
+    write_cnn_features(p, [(f"im{r % 3}", r, rng.normal(size=7) * 10.0 ** rng.integers(-8, 8)) for r in range(11)])
+    p.write_text("\n" + p.read_text().replace("\n", "\n\n", 4))  # blank lines shift the line numbers
+    asked = _blocks(monkeypatch)
+    parsed = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        parsed[cpus] = load_cnn_features(p)
+        assert multiprocessing.active_children() == []
+    assert asked == [1, 2]
+    assert parsed[1][0] == parsed[2][0]
+    assert parsed[1][1].shape == (11, 7) and parsed[1][1].tobytes() == parsed[2][1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "dup_line, bad_line, expected",
+    [(5, 6, "5: duplicate key ('im0', 0)"), (5, 2, "2: malformed feature value"), (6, 5, "5: malformed feature value")],
+    ids=["duplicate-first", "first-block-error-first", "malformed-first"],
+)
+def test_the_first_bad_line_of_a_cnn_text_fails_the_same_under_one_worker_and_two(
+    tmp_path, monkeypatch, dup_line, bad_line, expected
+):
+    # six records: lines 1-3 are the first block under two workers, 4-6 the second
+    lines = [f"im{r} 0 {r}.5 1.0" for r in range(6)]
+    lines[dup_line - 1] = "im0 0 7.0 8.0"
+    lines[bad_line - 1] = f"im{bad_line - 1} 0 1_0 8.0"
+    p = tmp_path / "feat.txt"
+    p.write_text("\n".join(lines) + "\n")
+    asked = _blocks(monkeypatch)
+    messages = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as err:
+            load_cnn_features(p)
+        assert multiprocessing.active_children() == []
+        messages.append(str(err.value))
+    assert asked == [1, 2]
+    assert messages == [f"{p}:{expected}"] * 2
 
 
 # ----------------------------------------------------- errors do not change
@@ -195,3 +277,25 @@ def test_a_failing_verb_prints_one_error_line_and_leaves_no_worker(tmp_path, mon
     assert cli.main(["propose", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"fusedet: error: [Errno 2] No such file or directory: '{missing}'\n"
     assert multiprocessing.active_children() == []
+
+
+def test_train_svm_refuses_a_category_without_positives_before_any_worker_starts(tmp_path, monkeypatch):
+    manifest = _split(tmp_path / "data", 8)
+    out = tmp_path / "out"
+    _cpus(monkeypatch, 1)
+    _front(manifest, out)
+    man = read_manifest(manifest)
+    for im in man.images:
+        im.ground_truths = [dataclasses.replace(gt, category_id=0) for gt in im.ground_truths]
+    write_manifest(manifest, man)
+    expected = f"category 1 ({man.categories[1]}) has no positive proposals; cannot train its classifier"
+    assert _failures(tmp_path, monkeypatch, stage_train_svm, manifest, out) == expected
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", no_pool)
+    with pytest.raises(ValueError, match="category 1 .* has no positive proposals"):
+        stage_train_svm(_cfg(), manifest, out)
+    assert not (out / "svm_cnn.model").exists()

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1053,6 +1054,41 @@ def test_cli_seed_obeys_the_rule_of_the_seed_key(verb, seed, tmp_path, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"fusedet: error: bad value for --seed: expected a non-negative integer, got {seed!r}\n"
+
+
+_DATASET_COUNTS = [("synth", option) for option in ("--images", "--classes", "--max-shapes", "--size", "--seed")] + [
+    ("all", option) for option in ("--train-images", "--test-images", "--classes", "--max-shapes", "--size")
+]
+
+
+@pytest.mark.parametrize("verb, option", _DATASET_COUNTS)
+@pytest.mark.parametrize("value", ["-1", "1_0", "+5", "\u0663"])
+def test_cli_dataset_counts_fail_naming_their_option(verb, option, value, tmp_path, monkeypatch, capsys):
+    # int() reads 1_0, +5 and the Arabic-Indic three as 10, 5 and 3
+    monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: pytest.fail("synth ran"))
+    monkeypatch.setattr(pipeline, "stage_all", lambda *a, **k: pytest.fail("all ran"))
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fusedet: error: bad value for {option}: expected a non-negative integer, got {value!r}\n"
+
+
+def test_cli_dataset_counts_reach_synth_and_all_as_ints(tmp_path, monkeypatch, capsys):
+    made = []
+    written = SimpleNamespace(images=[])  # the manifest synth counts the images of
+    monkeypatch.setattr(cli, "generate_dataset", lambda out_dir, spec, seed, prefix: made.append((spec, seed)) or written)
+    spec = SynthSpec()
+    assert cli.main(["synth", "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--images", "7", "--size", "64", "--seed", "12"]) == 0
+    assert made == [(spec, 0), (dataclasses.replace(spec, n_images=7, image_size=64), 12)]
+
+    runs = []
+    monkeypatch.setattr(pipeline, "stage_all", lambda cfg, **kwargs: runs.append(kwargs) or "r")
+    monkeypatch.setattr(cli, "read_report", lambda path: PerClassReport(aps={0: 0.5}, num_gt={0: 1}))
+    assert cli.main(["all", "--out-dir", str(tmp_path), "--test-images", "9", "--classes", "2"]) == 0
+    counts = {key: runs[0][key] for key in ("train_images", "test_images", "classes", "max_shapes", "image_size")}
+    assert counts == {"train_images": 200, "test_images": 9, "classes": 2, "max_shapes": 3, "image_size": 96}
+    assert all(type(value) is int for value in counts.values())
 
 
 def test_cli_compare_rejects_unnamed_reports(tmp_path, capsys):
