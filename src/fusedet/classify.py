@@ -1,8 +1,8 @@
 """Linear SVM training, the linear bank every learned layer uses, and fusion.
 
 Each feature channel gets one bank of N one-vs-rest classifiers. The three
-N-score vectors are concatenated (cnn, hog, ifv) into a 3N-dim vector and a
-second bank of N one-vs-rest classifiers is trained on those, after
+N-score vectors are concatenated in CHANNELS order into a 3N-dim vector and
+a second bank of N one-vs-rest classifiers is trained on those, after
 per-dimension standardization whose constants travel with the model. The
 channel banks, this fusion bank and the presence prior of `context` are all
 one `LinearBank`: one model file layout, one validator and one scorer,
@@ -20,6 +20,9 @@ import numpy as np
 from . import modelio
 
 _EPS = 1e-12
+
+# the feature channels in the order of the fused layout, read by every channel list, fusion width and choice
+CHANNELS = ("cnn", "hog", "ifv")
 
 
 @dataclass
@@ -264,10 +267,13 @@ class LinearBank:
             raise ValueError(f"{path}: not a valid linear bank: {exc}") from None
 
 
-def fuse_scores(cnn: np.ndarray, hog: np.ndarray, ifv: np.ndarray) -> np.ndarray:
-    """The fused layout: the (cnn, hog, ifv) scores of N categories side by
-    side on the last axis, N scores giving 3N and (m, N) rows giving (m, 3N)."""
-    parts = [np.asarray(v, dtype=np.float64) for v in (cnn, hog, ifv)]
+def fuse_scores(*scores: np.ndarray) -> np.ndarray:
+    """The fused layout: the scores of N categories from each channel, given
+    in CHANNELS order, side by side on the last axis, N scores giving 3N and
+    (m, N) rows giving (m, 3N)."""
+    if len(scores) != len(CHANNELS):
+        raise ValueError(f"expected the scores of {len(CHANNELS)} channels, got {len(scores)}")
+    parts = [np.asarray(v, dtype=np.float64) for v in scores]
     shapes = [p.shape for p in parts]
     if any(shape != shapes[0] for shape in shapes):
         raise ValueError(f"channel score lengths differ: {shapes}")
@@ -300,9 +306,9 @@ def train_fusion(
     X = np.asarray(fused_vectors, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("fused_vectors must be a 2-d array")
-    if X.shape[1] % 3 != 0:
-        raise ValueError(f"fused dim {X.shape[1]} is not a multiple of 3")
-    n_cat = X.shape[1] // 3
+    n_cat, rest = divmod(X.shape[1], len(CHANNELS))
+    if rest:
+        raise ValueError(f"fused dim {X.shape[1]} is not a multiple of {len(CHANNELS)}")
     if category_ids is None:
         category_ids = list(range(n_cat))
     if len(category_ids) != n_cat:
@@ -318,7 +324,7 @@ def train_fusion(
     scales = np.where(stds > _EPS, stds, 1.0)
     Z = (X - means) / scales
 
-    weights = np.empty((n_cat, 3 * n_cat))
+    weights = np.empty((n_cat, X.shape[1]))
     biases = np.empty(n_cat)
     for pos in range(n_cat):
         y = np.where(labels == pos, 1, -1)

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import pipeline
 from .config import PipelineConfig, load_config, parse_setting
 from .evaluation import mean_ap, read_report
-from .modelio import fmt_float, is_count
+from .modelio import fmt_float, parse_count, parse_real
 from .synth import SynthSpec, generate_dataset
 
 # The stage verbs in chain order, with their help lines. Each of them, and
@@ -34,32 +34,19 @@ STAGE_VERBS = {
 }
 
 
-# the count options of `synth` and `all`, by dest. argparse keeps their text,
-# and _count reads it, so that a bad value fails naming its option as the
-# stage verbs' --seed does
-_COUNT_OPTIONS = {
-    "images": "--images",
-    "train_images": "--train-images",
-    "test_images": "--test-images",
-    "classes": "--classes",
-    "max_shapes": "--max-shapes",
-    "image_size": "--size",
+# the numeric options but --seed, by dest: their names and the parsers of
+# their text (modelio's). argparse keeps the text and _run reads it, so a bad
+# value fails in one line that names its option
+_NUMBERS = {
+    "images": ("--images", parse_count),
+    "train_images": ("--train-images", parse_count),
+    "test_images": ("--test-images", parse_count),
+    "classes": ("--classes", parse_count),
+    "max_shapes": ("--max-shapes", parse_count),
+    "image_size": ("--size", parse_count),
+    "noise": ("--noise", parse_real),
+    "min_score": ("--min-score", parse_real),
 }
-
-
-def _count(option: str, text: str) -> int:
-    """text, the value of a count option, as an int; ValueError naming the
-    option unless text is a count by modelio.is_count."""
-    if not is_count(text):
-        raise ValueError(f"bad value for {option}: expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _config_from(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = parse_setting("seed", args.seed, "--seed")
-    return cfg
 
 
 def _add_common(p, manifest=True):
@@ -77,7 +64,7 @@ def _add_dataset(p):
     """The synthetic-dataset options of `synth` and `all`."""
     p.add_argument("--classes", default=str(SynthSpec.n_classes))
     p.add_argument("--max-shapes", default=str(SynthSpec.max_shapes))
-    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--noise", default=str(SynthSpec.noise))
     p.add_argument("--size", default=str(SynthSpec.image_size), dest="image_size", metavar="SIZE")
 
 
@@ -107,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report", dest="report_file", metavar="REPORT", help="report file to write (default: report_<tag>.txt)"
     )
-    stages["render"].add_argument("--min-score", type=float, default=0.0)
+    stages["render"].add_argument("--min-score", default="0.0")
 
     p = sub.add_parser("compare", help="count per-category AP wins across reports")
     p.add_argument("reports", nargs="+", metavar="NAME=PATH")
@@ -125,9 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    for dest, option in _COUNT_OPTIONS.items():
+    # every numeric option's text becomes its value here; --seed is read as
+    # the config key it overrides
+    for dest, (option, parse) in _NUMBERS.items():
         if dest in args:
-            setattr(args, dest, _count(option, getattr(args, dest)))
+            try:
+                setattr(args, dest, parse(getattr(args, dest)))
+            except ValueError as exc:
+                raise ValueError(f"bad value for {option}: {exc}") from None
+    if getattr(args, "seed", None) is not None:
+        args.seed = parse_setting("seed", args.seed, "--seed")
     if args.verb == "synth":
         spec = SynthSpec(
             n_classes=args.classes,
@@ -136,7 +130,7 @@ def _run(args) -> int:
             noise=args.noise,
             image_size=args.image_size,
         )
-        manifest = generate_dataset(args.out_dir, spec, _count("--seed", args.seed), prefix=args.prefix)
+        manifest = generate_dataset(args.out_dir, spec, args.seed, prefix=args.prefix)
         print(f"wrote {len(manifest.images)} images under {args.out_dir}")
         return 0
 
@@ -152,7 +146,9 @@ def _run(args) -> int:
             print(f"{name} {wins[name]}")
         return 0
 
-    cfg = _config_from(args)
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
     # looked up per call, so a stage replaced on the module (as the
     # benchmark's tracer does) is the one that runs
     stage = getattr(pipeline, "stage_" + args.verb.replace("-", "_"))

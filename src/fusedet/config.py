@@ -14,13 +14,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .modelio import fmt_float, is_count, parse_real
-
-
-def _count(tok: str) -> int:
-    if not is_count(tok):
-        raise ValueError(f"expected a non-negative integer, got {tok!r}")
-    return int(tok)
+from .classify import CHANNELS
+from .modelio import fmt_float, parse_count, parse_real
 
 
 def _parse_bool(tok: str) -> bool:
@@ -62,34 +57,34 @@ def _key(default, parse, valid: Optional[str] = None):
 
 @dataclass
 class PipelineConfig:
-    seed: int = _key(0, _count, ">= 0")
+    seed: int = _key(0, parse_count, ">= 0")
     seg_k: float = _key(300.0, parse_real, "> 0")
     seg_sigma: float = _key(0.8, parse_real, "> 0")
-    seg_min_size: int = _key(50, _count, ">= 1")
-    proposals_max_per_image: int = _key(2000, _count, ">= 1")
-    hog_cells_x: int = _key(4, _count, ">= 1")
-    hog_cells_y: int = _key(4, _count, ">= 1")
-    ifv_patch: int = _key(16, _count, ">= 2")
-    ifv_stride: int = _key(8, _count, ">= 1")
-    ifv_window: int = _key(64, _count, ">= 2")
-    ifv_pca_dim: int = _key(64, _count, ">= 1")
-    ifv_gmm_k: int = _key(16, _count, ">= 1")
-    ifv_gmm_iters: int = _key(100, _count, ">= 1")
+    seg_min_size: int = _key(50, parse_count, ">= 1")
+    proposals_max_per_image: int = _key(2000, parse_count, ">= 1")
+    hog_cells_x: int = _key(4, parse_count, ">= 1")
+    hog_cells_y: int = _key(4, parse_count, ">= 1")
+    ifv_patch: int = _key(16, parse_count, ">= 2")
+    ifv_stride: int = _key(8, parse_count, ">= 1")
+    ifv_window: int = _key(64, parse_count, ">= 2")
+    ifv_pca_dim: int = _key(64, parse_count, ">= 1")
+    ifv_gmm_k: int = _key(16, parse_count, ">= 1")
+    ifv_gmm_iters: int = _key(100, parse_count, ">= 1")
     ifv_gmm_tol: float = _key(1e-6, parse_real, "> 0")
     ifv_variance_floor: float = _key(1e-4, parse_real, "> 0")
-    ifv_codebook_samples: int = _key(20000, _count, ">= 1")
+    ifv_codebook_samples: int = _key(20000, parse_count, ">= 1")
     svm_lambda: float = _key(1e-3, parse_real, "> 0")
-    svm_epochs: int = _key(20, _count, ">= 1")
-    svm_negative_cap: int = _key(5000, _count, ">= 1")
+    svm_epochs: int = _key(20, parse_count, ">= 1")
+    svm_negative_cap: int = _key(5000, parse_count, ">= 1")
     svm_hard_negatives: bool = _key(False, _parse_bool)
-    svm_hard_negative_count: int = _key(500, _count, ">= 0")
+    svm_hard_negative_count: int = _key(500, parse_count, ">= 0")
     fusion_lambda: float = _key(1e-3, parse_real, "> 0")
-    fusion_epochs: int = _key(20, _count, ">= 1")
+    fusion_epochs: int = _key(20, parse_count, ">= 1")
     train_pos_iou: float = _key(0.5, parse_real, "in (0, 1]")
     train_neg_iou: float = _key(0.3, parse_real, "in [0, 1]")
     regress_lambda: float = _key(1.0, parse_real, "> 0")
     regress_match_iou: float = _key(0.6, parse_real, "in (0, 1]")
-    regress_channel: str = _key("cnn", _choice("cnn", "hog", "ifv"))
+    regress_channel: str = _key("cnn", _choice(*CHANNELS))
     nms_iou: float = _key(0.3, parse_real, "in (0, 1]")
     eval_iou: float = _key(0.5, parse_real, "in (0, 1]")
     prior_feature: str = _key("ifv", _choice("ifv", "cnn"))

@@ -153,8 +153,7 @@ def parse_detection_line(line: str, lineno: int = 0, source: Optional[str] = Non
         if not modelio.is_count(parts[1].removeprefix("-")):
             raise ValueError(f"invalid literal for int() with base 10: {parts[1]!r}")
         category_id = int(parts[1])
-        score = float(parts[2])
-        coords = [float(p) for p in parts[3:]]
+        score, *coords = modelio.parse_floats(parts[2:])
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     if not all(math.isfinite(v) for v in [score, *coords]):

@@ -13,7 +13,8 @@ pipeline parses each text once per content: the features archive of the
 split (`features_<tag>.npz`) holds the parsed rows next to the HOG and
 Fisher rows, together with the sha256 of the text's bytes, and a stage
 parses the text again only when its digest differs, so every error below
-is still raised from the text.
+is still raised from the text. A parse cuts the text into blocks by size;
+`parallel.map_indices` decides how many workers share them.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .. import modelio
-from ..parallel import map_indices, shared_empty, usable_cpus, worker_count
+from ..parallel import map_indices, shared_empty
 
-# the least text a parse block holds: a worker takes about as long to start
-# as half a megabyte takes to parse, so a text under two blocks is parsed
-# in the calling process
+# the text a parse block holds: a worker takes about as long to start as
+# half a megabyte takes to parse, so a text under two blocks is one block,
+# parsed in the calling process
 BLOCK_BYTES = 1 << 20
 
 
@@ -62,13 +63,13 @@ def load_cnn_features(path) -> Tuple[Dict[Tuple[str, int], int], np.ndarray]:
     """The records of a features file: a map from (image_id, proposal_index)
     to row, and the (records, M) float64 matrix of the vectors in file order.
 
-    The non-blank lines are cut into contiguous blocks of at least
-    BLOCK_BYTES of text, at most one per worker (`parallel.map_indices`).
-    Each block's worker checks its lines, writes their vectors into the
-    shared matrix, and returns the keys it read before its first bad line,
-    with that line's error. Walking the blocks in order, this process checks
-    that every key is new, so the error raised is that of the first bad
-    line, whatever the worker count.
+    The non-blank lines are cut into contiguous blocks of about BLOCK_BYTES
+    of text each, by the text's size alone, and `parallel.map_indices`
+    spreads the blocks over its workers. Each block's task checks its lines,
+    writes their vectors into the shared matrix, and returns the keys it
+    read before its first bad line, with that line's error. Walking the
+    blocks in order, this process checks that every key is new, so the
+    error raised is that of the first bad line, whatever the worker count.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -78,7 +79,7 @@ def load_cnn_features(path) -> Tuple[Dict[Tuple[str, int], int], np.ndarray]:
         raise ValueError(f"{path}: no feature records found")
     width = len(lines[records[0]].split()) - 2
     matrix = shared_empty((len(records), max(width, 0)), np.float64)
-    blocks = worker_count(usable_cpus(), min(len(records), size // BLOCK_BYTES))
+    blocks = max(1, min(len(records), size // BLOCK_BYTES))
     cuts = [len(records) * b // blocks for b in range(blocks + 1)]
 
     def parse_block(b: int) -> Tuple[List[Tuple[int, Tuple[str, int]]], Optional[ValueError]]:

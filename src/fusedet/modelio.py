@@ -14,7 +14,7 @@ bit-exact for float64.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,9 +44,26 @@ def parse_real(tok: str) -> float:
     return v
 
 
+def parse_floats(tokens: Sequence[str]) -> List[float]:
+    """tokens as floats if each is_plain (-inf, inf and nan pass: finiteness
+    is the caller's rule); ValueError quoting the first token that is not,
+    or float()'s."""
+    if not is_plain("".join(tokens)):
+        bad = next(tok for tok in tokens if not is_plain(tok))
+        raise ValueError(f"expected a real in ASCII without underscores, got {bad!r}")
+    return [float(tok) for tok in tokens]
+
+
 def is_count(tok: str) -> bool:
     """Whether tok is a non-negative integer in ASCII decimal digits, without sign or underscores."""
     return tok.isascii() and tok.isdigit()
+
+
+def parse_count(tok: str) -> int:
+    """tok as an int if is_count(tok); ValueError quoting tok otherwise."""
+    if not is_count(tok):
+        raise ValueError(f"expected a non-negative integer, got {tok!r}")
+    return int(tok)
 
 
 def write_model(path, kind: str, meta: Dict[str, str], arrays: Dict[str, np.ndarray]) -> None:
@@ -106,12 +123,9 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
                         f"{path}: array {name!r} row {r} has {len(vals)} values, expected {cols}"
                     )
                 try:
-                    # float() as is, since the presence gate's thresholds
-                    # need -inf; the checks for finite values are the models'
-                    if not is_plain(row):
-                        bad = next(v for v in vals if not is_plain(v))
-                        raise ValueError(f"expected a real in ASCII without underscores, got {bad!r}")
-                    data[r] = [float(v) for v in vals]
+                    # the presence gate's thresholds need -inf; the checks
+                    # for finite values are the models'
+                    data[r] = parse_floats(vals)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{i + 2 + r}: {exc}") from None
             arrays[name] = data

@@ -4,14 +4,16 @@
 the process may use, and returns the results in index order. A worker is a
 fork of the calling process: it sees the caller's data as it was at the
 fork, and writes its rows into arrays from `shared_empty`, which the caller
-then reads. Outputs do not depend on the worker count, and there is no
-setting for it. Four places use it:
+then reads. This module alone decides how many workers share a job, and
+outputs do not depend on that count; there is no setting for it. A worker
+ends with the call, or with the calling process if that is killed. Four
+places use it:
 
 - propose and extract, over the images of a split, each independent of the
   others;
 - train-svm, over its (channel, category) fits, each with its own seed;
-- `features.cnn.load_cnn_features`, over contiguous blocks of a CNN text's
-  lines, whose vectors go into one shared matrix.
+- `features.cnn.load_cnn_features`, over blocks of a CNN text's lines cut
+  by size alone, whose vectors go into one shared matrix.
 
 train-fusion and train-prior stay in one process: each fits one small model
 per category, and all of its fits together cost about as much as starting
@@ -24,6 +26,7 @@ import ctypes
 import mmap
 import multiprocessing
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple, TypeVar
@@ -102,9 +105,19 @@ def usable_cpus() -> int:
 
 _work: Optional[Callable[[int], object]] = None  # set in each worker
 
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
-def _start_worker(work: Callable[[int], object]) -> None:
+
+def _start_worker(work: Callable[[int], object], parent: int) -> None:
+    """Sets up a worker forked from the process parent, which Linux kills
+    when parent dies; if parent is already gone, the worker exits at once."""
     global _work
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
     _work = work
     _single_thread_blas()
 
@@ -122,7 +135,7 @@ def map_indices(work: Callable[[int], T], n: int) -> List[T]:
     are pickled between processes. Results come back in index order, so the
     first index that fails raises its exception here, as a plain loop would;
     the indices not yet started are then dropped. No worker outlives the
-    call.
+    call, nor this process if it is killed.
     """
     _release_free_heap()
     workers = worker_count(usable_cpus(), n)
@@ -131,5 +144,5 @@ def map_indices(work: Callable[[int], T], n: int) -> List[T]:
     # unlike multiprocessing.Pool, which waits forever for the result of a
     # worker that was killed, the executor then raises BrokenProcessPool
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, fork, _start_worker, (work,)) as pool:
+    with ProcessPoolExecutor(workers, fork, _start_worker, (work, os.getpid())) as pool:
         return list(pool.map(_run, range(n)))

@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cache, modelio
-from .classify import LinearBank, LinearModel, fuse_scores, mine_hard_negatives, train_fusion, train_svm
+from .classify import CHANNELS, LinearBank, LinearModel, fuse_scores, mine_hard_negatives, train_fusion, train_svm
 from .config import PipelineConfig, config_digest
 from .context import (
     filter_detections,
@@ -63,7 +63,6 @@ from .synth import SynthSpec, generate_dataset
 
 logger = logging.getLogger(__name__)
 
-CHANNELS = ("cnn", "hog", "ifv")
 CNN_EMBED_SIDE = 6  # stand-in embedding: 6x6 RGB thumbnail, 108 dims
 # proposals per array pass in extract: each adds about 0.5 MB of float64
 # temporaries, so a pass stays near 4.5 MB while removing most of the
@@ -467,7 +466,7 @@ def _stage_inputs(
         imported |= _import_cnn(feats, "prior_cnn", cnn_images_path(out_dir, tag), images)
     if imported:
         cache.save_arrays(path, feats)
-    channels = {"cnn": feats["cnn"], "hog": feats["hog"], "ifv": feats["ifv"]}
+    channels = {ch: feats[ch] for ch in CHANNELS}
     prior = None if prior_feature is None else feats["prior_" + prior_feature]
     return _StageInputs(tag, out_dir, man, feats, channels, prior)
 
@@ -576,7 +575,7 @@ def _load_banks(data: _StageInputs) -> Dict[str, LinearBank]:
 
 
 def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, LinearBank]) -> np.ndarray:
-    """Fused (cnn, hog, ifv) score matrix for every feature row."""
+    """Fused score matrix (the channels in CHANNELS order) for every feature row."""
     return fuse_scores(*(banks[ch].scores(channels[ch]) for ch in CHANNELS))
 
 
@@ -688,7 +687,8 @@ def stage_detect(
     man, out_dir = data.man, data.out_dir
     n_cat = man.n_categories
     banks = _load_banks(data)
-    fusion = _load_bank(fusion_path(out_dir), "train-fusion", 3 * n_cat, n_cat) if channel == "fused" else None
+    fused_dim = len(CHANNELS) * n_cat
+    fusion = _load_bank(fusion_path(out_dir), "train-fusion", fused_dim, n_cat) if channel == "fused" else None
     regressor = _load_model(
         BoxRegressor.load, regressor_path(out_dir), "train-regressor", data.channels[cfg.regress_channel].shape[1]
     )
@@ -811,15 +811,16 @@ def stage_all(
     test_manifest=None,
     train_images: int = 200,
     test_images: int = 50,
-    classes: int = 3,
-    max_shapes: int = 3,
-    noise: float = 0.3,
-    image_size: int = 96,
+    classes: int = SynthSpec.n_classes,
+    max_shapes: int = SynthSpec.max_shapes,
+    noise: float = SynthSpec.noise,
+    image_size: int = SynthSpec.image_size,
 ) -> Path:
     """The whole graph in one call; returns the test split's report path.
 
     Without explicit manifests a synthetic train/test pair is generated
-    under out_dir/data first.
+    under out_dir/data first, by SynthSpec's defaults where no option is
+    given.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fusedet.classify
 from fusedet.classify import (
+    CHANNELS,
     LinearBank,
     LinearModel,
     _optimal_bias,
@@ -385,6 +386,14 @@ def test_fuse_scores_of_score_rows_concatenates_on_the_last_axis():
         fuse_scores(cnn, hog, ifv[:3])
     with pytest.raises(ValueError, match="must be 1-D or"):
         fuse_scores(cnn[None], hog[None], ifv[None])
+
+
+def test_fuse_scores_takes_one_score_block_per_channel():
+    assert CHANNELS == ("cnn", "hog", "ifv")
+    with pytest.raises(ValueError, match="expected the scores of 3 channels, got 2"):
+        fuse_scores([1.0], [2.0])
+    with pytest.raises(ValueError, match="expected the scores of 3 channels, got 4"):
+        fuse_scores([1.0], [2.0], [3.0], [4.0])
 
 
 def test_mine_hard_negatives_hand_case_and_bounds():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusedet import classify, pipeline
 from fusedet.config import KEYS, PipelineConfig, config_digest, config_lines, load_config, parse_setting
 
 
@@ -95,6 +96,15 @@ def test_out_of_range_names_the_line(tmp_path):
         _load(tmp_path, "svm.epochs = 0\n")
     with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
         _load(tmp_path, "nms.iou = 0\n")
+
+
+def test_regress_channel_takes_exactly_the_channels_of_classify(tmp_path):
+    assert pipeline.CHANNELS is classify.CHANNELS
+    for channel in classify.CHANNELS:
+        assert _load(tmp_path, f"regress.channel = {channel}\n").regress_channel == channel
+    for other in ("fused", "dpm", "CNN", "prior_ifv", ""):
+        with pytest.raises(ValueError, match="expected one of"):
+            _load(tmp_path, f"regress.channel = {other}\n")
 
 
 def test_malformed_lines(tmp_path):
@@ -222,7 +232,7 @@ _REALS = {
 }
 _OTHERS = {
     "svm.hard_negatives": st.booleans(),
-    "regress.channel": st.sampled_from(["cnn", "hog", "ifv"]),
+    "regress.channel": st.sampled_from(classify.CHANNELS),
     "prior.feature": st.sampled_from(["ifv", "cnn"]),
     "prior.tau": st.none() | st.just(-math.inf) | st.floats(**_FINITE),
 }

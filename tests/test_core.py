@@ -258,6 +258,10 @@ _GOOD = "a 0 0.500000 0.000000 0.000000 1.000000 1.000000"
         ("a 1_0 0.5 0 0 1 1", "invalid literal for int() with base 10: '1_0'"),
         ("a +2 0.5 0 0 1 1", "invalid literal for int() with base 10: '+2'"),
         ("a \u0661 0.5 0 0 1 1", "invalid literal for int() with base 10: '\u0661'"),
+        # float() reads these three as 0.5, 10 and 1
+        ("a 0 0.5_0 0 0 1 1", "expected a real in ASCII without underscores, got '0.5_0'"),
+        ("a 0 0.5 0 0 1_0 1", "expected a real in ASCII without underscores, got '1_0'"),
+        ("a 0 0.5 0 \u0661 2 2", "expected a real in ASCII without underscores, got '\u0661'"),
     ],
 )
 def test_a_malformed_detection_line_names_the_file_and_line(tmp_path, bad, message):

@@ -1,6 +1,7 @@
 """Work over forked workers (propose and extract over images, train-svm over
-its fits, the CNN text parse over blocks of lines): the worker count, and
-outputs and errors that do not depend on it.
+its fits, the CNN text parse over blocks of lines): the worker count,
+outputs and errors that do not depend on it, and workers that end with the
+process that started them.
 
 One worker is forced by giving the process one CPU (`os.sched_getaffinity`
 as `fusedet.parallel` reads it), two workers by giving it two.
@@ -10,8 +11,10 @@ import dataclasses
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +128,58 @@ def test_a_worker_that_dies_fails_the_call_instead_of_hanging():
     assert done.stdout == "raised []\n", done.stderr
 
 
+_KILLED_VERB = """
+import os, signal, threading, time
+from fusedet import parallel
+os.sched_getaffinity = lambda pid: {0, 1}
+signal.alarm(60)  # a call that never starts its tasks still ends
+pids = parallel.shared_empty((2,), "int64")
+
+def work(i):
+    pids[i] = os.getpid()
+    time.sleep(60)
+
+def report():
+    while not pids.all():
+        time.sleep(0.01)
+    print(*pids.tolist(), flush=True)
+
+threading.Thread(target=report, daemon=True).start()
+parallel.map_indices(work, 2)
+"""
+
+
+def _running(pid):
+    """Whether pid is a process that has not yet exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the workers' parent-death signal is Linux's")
+def test_a_killed_verb_takes_its_workers_with_it():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    verb = subprocess.Popen([sys.executable, "-c", _KILLED_VERB], env=env, stdout=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        pids = [int(tok) for tok in verb.stdout.readline().split()]
+        assert len(set(pids)) == 2 and verb.pid not in pids
+        verb.send_signal(signal.SIGTERM)
+        verb.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if _running(pid)] == []
+    finally:
+        verb.kill()
+        verb.wait()
+        verb.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 # ---------------------------------------------------- outputs do not change
 
 
@@ -162,10 +217,10 @@ def test_train_svm_writes_the_same_banks_under_one_worker_and_two(tmp_path, monk
     assert written[1] == written[2]
 
 
-def _blocks(monkeypatch):
-    """Makes every CNN text worth two parse blocks; the block counts that
+def _blocks(monkeypatch, block_bytes):
+    """Sets the text a CNN parse block holds; the block counts that
     load_cnn_features asks parallel.map_indices for."""
-    monkeypatch.setattr(cnn, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(cnn, "BLOCK_BYTES", block_bytes)
     asked = []
 
     def counted(work, n):
@@ -179,17 +234,18 @@ def _blocks(monkeypatch):
 def test_a_cnn_text_parses_to_the_same_index_and_bits_under_one_worker_and_two(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     p = tmp_path / "feat.txt"
-    write_cnn_features(p, [(f"im{r % 3}", r, rng.normal(size=7) * 10.0 ** rng.integers(-8, 8)) for r in range(11)])
+    write_cnn_features(p, [(f"im{r % 3}", r, rng.normal(size=7) * 10.0 ** rng.integers(-8, 8)) for r in range(40)])
     p.write_text("\n" + p.read_text().replace("\n", "\n\n", 4))  # blank lines shift the line numbers
-    asked = _blocks(monkeypatch)
+    asked = _blocks(monkeypatch, 1024)
     parsed = {}
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         parsed[cpus] = load_cnn_features(p)
         assert multiprocessing.active_children() == []
-    assert asked == [1, 2]
+    # the block count follows the text's size alone, not the CPUs
+    assert asked == [p.stat().st_size // 1024] * 2 and asked[0] > 2
     assert parsed[1][0] == parsed[2][0]
-    assert parsed[1][1].shape == (11, 7) and parsed[1][1].tobytes() == parsed[2][1].tobytes()
+    assert parsed[1][1].shape == (40, 7) and parsed[1][1].tobytes() == parsed[2][1].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -200,13 +256,13 @@ def test_a_cnn_text_parses_to_the_same_index_and_bits_under_one_worker_and_two(t
 def test_the_first_bad_line_of_a_cnn_text_fails_the_same_under_one_worker_and_two(
     tmp_path, monkeypatch, dup_line, bad_line, expected
 ):
-    # six records: lines 1-3 are the first block under two workers, 4-6 the second
+    # six records, each its own block
     lines = [f"im{r} 0 {r}.5 1.0" for r in range(6)]
     lines[dup_line - 1] = "im0 0 7.0 8.0"
     lines[bad_line - 1] = f"im{bad_line - 1} 0 1_0 8.0"
     p = tmp_path / "feat.txt"
     p.write_text("\n".join(lines) + "\n")
-    asked = _blocks(monkeypatch)
+    asked = _blocks(monkeypatch, 1)
     messages = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
@@ -214,7 +270,7 @@ def test_the_first_bad_line_of_a_cnn_text_fails_the_same_under_one_worker_and_tw
             load_cnn_features(p)
         assert multiprocessing.active_children() == []
         messages.append(str(err.value))
-    assert asked == [1, 2]
+    assert asked == [6, 6]
     assert messages == [f"{p}:{expected}"] * 2
 
 

@@ -1091,6 +1091,64 @@ def test_cli_dataset_counts_reach_synth_and_all_as_ints(tmp_path, monkeypatch, c
     assert all(type(value) is int for value in counts.values())
 
 
+_REALS = [("synth", "--noise"), ("all", "--noise"), ("render", "--min-score")]
+
+
+@pytest.mark.parametrize("verb, option", _REALS)
+@pytest.mark.parametrize("value", ["0.2_5", "١", "nan", "inf", "abc"])
+def test_cli_reals_fail_in_one_line_naming_their_option(verb, option, value, tmp_path, monkeypatch, capsys):
+    # float() reads 0.2_5 as 0.25 and the Arabic-Indic one as 1.0
+    monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: pytest.fail("synth ran"))
+    for stage in ("stage_all", "stage_render"):
+        monkeypatch.setattr(pipeline, stage, lambda *a, **k: pytest.fail("stage ran"))
+    argv = [verb, "--out-dir", str(tmp_path / "out"), option, value]
+    assert cli.main(argv + (["--manifest", "m.txt"] if verb == "render" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fusedet: error: bad value for {option}: expected a finite real, got {value!r}\n"
+
+
+def test_cli_reals_reach_synth_and_render_as_floats(tmp_path, monkeypatch, capsys):
+    made = []
+    written = SimpleNamespace(images=[])
+    monkeypatch.setattr(cli, "generate_dataset", lambda out_dir, spec, seed, prefix: made.append(spec) or written)
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--noise", "0.25"]) == 0
+    assert cli.main(["synth", "--out-dir", str(tmp_path)]) == 0
+    assert [spec.noise for spec in made] == [0.25, SynthSpec.noise]
+    assert all(type(spec.noise) is float for spec in made)
+
+    runs = []
+    monkeypatch.setattr(pipeline, "stage_render", lambda cfg, **kwargs: runs.append(kwargs) or "overlays")
+    argv = ["render", "--manifest", "m.txt", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["--min-score", "-1.5"]) == 0
+    assert cli.main(argv) == 0
+    assert [run["min_score"] for run in runs] == [-1.5, 0.0]
+    assert all(type(run["min_score"]) is float for run in runs)
+
+
+def _options():
+    """(verb, argparse action) of every option of every verb."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+    return [(verb, action) for verb, p in sub.choices.items() for action in p._actions if action.option_strings]
+
+
+def test_no_cli_number_bypasses_the_numeric_table():
+    # argparse's type=int/float would read 1_0 as 10 and fail with a usage
+    # block; every numeric option goes through cli._NUMBERS instead
+    typed = [(verb, a.option_strings[0]) for verb, a in _options() if a.type is not None]
+    assert typed == []
+    options = {(a.dest, a.option_strings[0]) for _, a in _options()}
+    for dest, (option, _) in cli._NUMBERS.items():
+        assert (dest, option) in options, f"{dest} ({option}) belongs to no verb"
+
+
+def test_stage_all_takes_its_dataset_defaults_from_synth_spec():
+    defaults = inspect.signature(pipeline.stage_all).parameters
+    spec = SynthSpec()
+    assert (defaults["classes"].default, defaults["max_shapes"].default) == (spec.n_classes, spec.max_shapes)
+    assert (defaults["noise"].default, defaults["image_size"].default) == (spec.noise, spec.image_size)
+
+
 def test_cli_compare_rejects_unnamed_reports(tmp_path, capsys):
     rc = cli.main(["compare", "just-a-path", "--out", str(tmp_path / "c.txt")])
     assert rc == 1
