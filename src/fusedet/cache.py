@@ -10,8 +10,8 @@ truncated archive behind. Each member is streamed into the archive as it
 is serialized, so a write holds no second copy of any array.
 
 `file_sha256` is the digest that parsed copies of text files are keyed by:
-the features archive stores the digest of each CNN text whose rows it holds,
-and the rows are used only while the text's digest still matches.
+the features archive stores the digest of each CNN text imported into it,
+and the imported rows are used only while the text's digest still matches.
 """
 
 from __future__ import annotations

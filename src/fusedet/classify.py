@@ -258,7 +258,7 @@ class LinearBank:
         _, arrays = modelio.read_model(path, "linear-bank")
         try:
             return cls(
-                category_ids=arrays["category_ids"][0],
+                category_ids=modelio.parse_ids(arrays["category_ids"][0]),
                 weights=arrays["weights"],
                 biases=arrays["biases"][0],
                 **{name: arrays[name][0] for name in _OPTIONAL if name in arrays},

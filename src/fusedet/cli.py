@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, manifest=False)
     p.add_argument("--train-manifest")
     p.add_argument("--test-manifest")
-    p.add_argument("--train-images", default="200")
-    p.add_argument("--test-images", default="50")
+    p.add_argument("--train-images", default=str(pipeline.ALL_TRAIN_IMAGES))
+    p.add_argument("--test-images", default=str(pipeline.ALL_TEST_IMAGES))
     _add_dataset(p)
 
     return ap

@@ -8,12 +8,12 @@ The vector width M is fixed by the first record; image_id must not contain
 whitespace, and the values are finite reals written in ASCII without
 underscores. Records are keyed by (image_id, proposal_index).
 
-The text is the interchange format and the only source of truth. The
-pipeline parses each text once per content: the features archive of the
-split (`features_<tag>.npz`) holds the parsed rows next to the HOG and
-Fisher rows, together with the sha256 of the text's bytes, and a stage
-parses the text again only when its digest differs, so every error below
-is still raised from the text. A parse cuts the text into blocks by size;
+A text always comes from the user: `extract` stores its stand-in rows in
+the split's features archive (`features_<tag>.npz`) and writes no text. A
+text placed beside the archive is imported once: the archive keeps the
+parsed rows with the sha256 of the text's bytes, and a stage parses the
+text again only when its digest differs, so every error below is raised
+from the text. A parse cuts the text into blocks by size;
 `parallel.map_indices` decides how many workers share them.
 """
 

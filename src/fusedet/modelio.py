@@ -66,6 +66,15 @@ def parse_count(tok: str) -> int:
     return int(tok)
 
 
+def parse_ids(values: Sequence[float]) -> List[int]:
+    """A model's category ids, stored as reals, as ints; ValueError quoting
+    the first that is not a non-negative whole number."""
+    bad = next((v for v in values if not (v >= 0 and float(v).is_integer())), None)
+    if bad is not None:
+        raise ValueError(f"category ids must be non-negative whole numbers, got {float(bad)!r}")
+    return [int(v) for v in values]
+
+
 def write_model(path, kind: str, meta: Dict[str, str], arrays: Dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC} {VERSION} {kind}\n")

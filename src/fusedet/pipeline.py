@@ -16,7 +16,7 @@ import hashlib
 import logging
 import zipfile
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .features import (
     load_cnn_features,
     pca_apply,
     pca_fit,
-    write_cnn_features,
+    write_cnn_features,  # not called here: perfbench's embed set-up writes its texts with it, and its tracer wraps it
 )
 from .images import (
     Image,
@@ -68,6 +68,8 @@ CNN_EMBED_SIDE = 6  # stand-in embedding: 6x6 RGB thumbnail, 108 dims
 # temporaries, so a pass stays near 4.5 MB while removing most of the
 # per-proposal Python work
 EXTRACT_CHUNK = 8
+# the split sizes `all` generates when it is given no manifests
+ALL_TRAIN_IMAGES, ALL_TEST_IMAGES = 200, 50
 
 
 class MissingArtifact(RuntimeError):
@@ -316,10 +318,10 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     return pca, gmm
 
 
-def _row_keys(man: DatasetManifest, row_image: np.ndarray, row_proposal: np.ndarray) -> List[Tuple[str, int]]:
+def _row_keys(man: DatasetManifest, feats: Dict[str, np.ndarray]) -> List[Tuple[str, int]]:
     """The CNN record key (image_id, proposal_index) of each archive row."""
     ids = [im.image_id for im in man.images]
-    return [(ids[i], p) for i, p in zip(row_image.tolist(), row_proposal.tolist())]
+    return [(ids[i], p) for i, p in zip(feats["row_image"].tolist(), feats["row_proposal"].tolist())]
 
 
 def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
@@ -366,24 +368,21 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
 
     map_indices(image_rows, len(man.images))
 
-    row_image = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
-    row_proposal = (np.arange(n) - np.repeat(starts, counts)).astype(np.int32)
-    cnn_text, images_text = cnn_path(out_dir, tag), cnn_images_path(out_dir, tag)
-    keys = _row_keys(man, row_image, row_proposal)
-    write_cnn_features(cnn_text, ((image_id, p, v) for (image_id, p), v in zip(keys, cnn_rows)))
-    write_cnn_features(images_text, ((im.image_id, 0, v) for im, v in zip(man.images, prior_cnn)))
     arrays = {
         "boxes": box_rows,
         "hog": hog_rows,
         "ifv": ifv_rows,
         "cnn": cnn_rows,
-        "cnn_sha256": np.array(cache.file_sha256(cnn_text)),
         "prior_ifv": prior_rows,
         "prior_cnn": prior_cnn,
-        "prior_cnn_sha256": np.array(cache.file_sha256(images_text)),
-        "row_image": row_image,
-        "row_proposal": row_proposal,
+        "row_image": np.repeat(np.arange(len(counts)), counts).astype(np.int32),
+        "row_proposal": (np.arange(n) - np.repeat(starts, counts)).astype(np.int32),
     }
+    # a CNN text here was written for the rows this extract replaces
+    for text in (cnn_path(out_dir, tag), cnn_images_path(out_dir, tag)):
+        if text.exists():
+            text.unlink()
+            logger.warning("removed %s: extract replaced the rows it was written for", text)
     path = features_path(out_dir, tag)
     cache.save_arrays(path, arrays)
     _run_log(out_dir, "extract", tag, cfg, {"rows": n, "images": len(man.images)})
@@ -402,28 +401,31 @@ def _load_features(path: Path) -> Dict[str, np.ndarray]:
     return feats
 
 
-def _import_cnn(feats: Dict[str, np.ndarray], name: str, text: Path, keys: Sequence[Tuple[str, int]]) -> bool:
-    """Makes feats[name] the rows that hold the vectors of the CNN features
-    file text for the (image_id, proposal_index) keys, in order. True when
-    the text had to be parsed, so that feats no longer match the archive
-    they were loaded from.
+def _import_cnn(feats: Dict[str, np.ndarray], name: str, text: Path, archive: Path, keys: Callable, need: str) -> bool:
+    """Makes feats[name] the CNN rows of the archive's (image_id,
+    proposal_index) keys, in order. True when text had to be parsed, so that
+    feats no longer match the archive they were loaded from.
 
-    The text is the source of truth. The archive keeps its parse with the
-    sha256 of its bytes (feats[name + "_sha256"]) and serves the rows while
-    that matches. Otherwise (replaced embeddings, or an archive older than
-    its CNN rows) the text is parsed, checked to hold every key, and its rows
-    and digest are stored in feats; errors thus come from the text, and a
-    failed parse changes nothing.
+    Without a text the archive's rows serve, unhashed: extract's stand-in
+    rows, or the parse of a text imported before. A text is the user's
+    vectors, needing one record per key (need says which). Its parse is kept
+    with the sha256 of its bytes (feats[name + "_sha256"]) and serves while
+    that matches; otherwise the text is parsed, checked to hold every key,
+    and its rows and digest are stored in feats, so errors come from the
+    text and a failed parse changes nothing.
     """
-    digest = cache.file_sha256(_require(text, "extract"))
+    if not text.exists():
+        if name in feats:
+            return False
+        raise MissingArtifact(f"{archive}: archive holds no {name} rows and there is no {text.name}; rerun 'extract'")
+    digest = cache.file_sha256(text)
     if name in feats and str(feats.get(name + "_sha256")) == digest:
         return False
     index, matrix = load_cnn_features(text)
-    for image_id, proposal_index in keys:
-        if (image_id, proposal_index) not in index:
-            raise MissingArtifact(
-                f"{text}: no vector for image {image_id} proposal {proposal_index}; rerun 'extract'"
-            )
+    keys = keys()
+    for image_id, p in keys:
+        if (image_id, p) not in index:
+            raise MissingArtifact(f"{text}: no vector for image {image_id} proposal {p}; the text needs {need}")
     feats[name] = matrix[[index[key] for key in keys]]
     feats[name + "_sha256"] = np.array(digest)
     return True
@@ -450,20 +452,24 @@ def _stage_inputs(
     features archive; with prior_feature ('ifv' or 'cnn') also the prior
     rows of that feature. man, when given, is the manifest already read.
 
-    When CNN texts must be parsed, the archive is rewritten once, after
-    every text has been checked, so a failed parse or key check writes
-    nothing."""
+    A run without CNN texts reads the archive alone. When a user's text
+    must be parsed, the archive is rewritten once, after every text has been
+    checked, so a failed parse or key check writes nothing."""
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     if man is None:
         man = read_manifest(manifest_path)
     path = features_path(out_dir, tag)
     feats = _load_features(path)
-    keys = _row_keys(man, feats["row_image"], feats["row_proposal"])
-    imported = _import_cnn(feats, "cnn", cnn_path(out_dir, tag), keys)
+    imported = _import_cnn(
+        feats, "cnn", cnn_path(out_dir, tag), path, lambda: _row_keys(man, feats),
+        f"one record per proposal of {proposals_path(out_dir, tag).name}",
+    )
     if prior_feature == "cnn":
-        images = [(im.image_id, 0) for im in man.images]
-        imported |= _import_cnn(feats, "prior_cnn", cnn_images_path(out_dir, tag), images)
+        imported |= _import_cnn(
+            feats, "prior_cnn", cnn_images_path(out_dir, tag), path, lambda: [(im.image_id, 0) for im in man.images],
+            "one record per image of the manifest, with proposal index 0",
+        )
     if imported:
         cache.save_arrays(path, feats)
     channels = {ch: feats[ch] for ch in CHANNELS}
@@ -621,11 +627,6 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
         {"pairs": len(rows), "trained_categories": len(regressor.coefficients)},
     )
     return path
-
-
-def _prior_features(cfg, man, out_dir, tag) -> np.ndarray:
-    """Whole-image prior feature of every image, in manifest order."""
-    return _stage_inputs(None, out_dir, tag, cfg.prior_feature, man).prior
 
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
@@ -809,8 +810,8 @@ def stage_all(
     out_dir,
     train_manifest=None,
     test_manifest=None,
-    train_images: int = 200,
-    test_images: int = 50,
+    train_images: int = ALL_TRAIN_IMAGES,
+    test_images: int = ALL_TEST_IMAGES,
     classes: int = SynthSpec.n_classes,
     max_shapes: int = SynthSpec.max_shapes,
     noise: float = SynthSpec.noise,

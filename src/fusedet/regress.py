@@ -101,8 +101,9 @@ class BoxRegressor:
         """The regressor saved at path; ValueError naming the file if it holds none."""
         meta, arrays = modelio.read_model(path, "bbox-regressor")
         try:
-            ids = [int(v) for v in arrays["category_ids"][0]]
-            return cls(dim=int(meta["dim"]), coefficients={cid: arrays[f"category_{cid}"] for cid in ids})
+            ids = modelio.parse_ids(arrays["category_ids"][0])
+            dim = modelio.parse_count(meta["dim"])
+            return cls(dim=dim, coefficients={cid: arrays[f"category_{cid}"] for cid in ids})
         except (KeyError, IndexError, OverflowError, ValueError) as exc:
             raise ValueError(f"{path}: not a valid box regressor: {exc}") from None
 

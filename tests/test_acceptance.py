@@ -109,7 +109,7 @@ def test_primary_fusion_not_worse_than_best_channel(full_run):
 def test_primary_context_gate_removes_planted_false_positives(full_run):
     cfg, out, man = full_run["cfg"], full_run["out"], full_run["man"]
     prior = PresencePrior.load(out / "prior.model")
-    feats = pipeline._prior_features(cfg, man, out, "test")
+    feats = pipeline._stage_inputs(None, out, "test", cfg.prior_feature, man).prior
     with open(out / "detections_test.txt") as fh:
         base = read_detections(fh)
 

@@ -338,6 +338,24 @@ def test_bank_refuses_malformed_arrays():
             bank(**changes)
 
 
+@pytest.mark.parametrize(
+    "ids, bad", [([0, 1.5, 2], "1.5"), ([0, -0.5, 2], "-0.5"), ([0, -1, 2], "-1.0"), ([0, np.nan, 2], "nan")]
+)
+def test_bank_load_takes_only_whole_non_negative_category_ids(tmp_path, ids, bad):
+    # int() would read 1.5 as 1 and -0.5 as 0, giving a bank that passes
+    # detect's check for categories 0..N-1
+    path = tmp_path / "svm_hog.model"
+    arrays = {"category_ids": np.array([ids]), "weights": np.zeros((3, 2)), "biases": np.zeros((1, 3))}
+    write_model(path, "linear-bank", {}, arrays)
+    with pytest.raises(ValueError) as err:
+        LinearBank.load(path)
+    why = f"category ids must be non-negative whole numbers, got {bad}"
+    assert str(err.value) == f"{path}: not a valid linear bank: {why}"
+    arrays["category_ids"] = np.array([[0.0, -0.0, 2.0]])
+    write_model(path, "linear-bank", {}, arrays)
+    assert LinearBank.load(path).category_ids == [0, 0, 2]
+
+
 def test_bank_load_names_the_file_of_a_malformed_bank(tmp_path):
     path = tmp_path / "fusion.model"
     write_model(

@@ -62,6 +62,7 @@ def pipe(tmp_path_factory):
     cfg = _micro_cfg()
     with pytest.MonkeyPatch.context() as mp:
         parses = _count_parses(mp)
+        hashes = _count_hashes(mp)
         report = stage_all(
             cfg,
             out,
@@ -77,6 +78,7 @@ def pipe(tmp_path_factory):
         "out": out,
         "report": report,
         "parses": parses,
+        "hashes": hashes,
         "train_manifest": out / "data" / "train" / "manifest.txt",
         "test_manifest": out / "data" / "test" / "manifest.txt",
     }
@@ -219,15 +221,15 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
     manifest = out / "data" / "train" / "manifest.txt"
+    texts = _write_user_texts(out, "train")
 
-    def drop_last_record(name):
-        path = out / name
+    def drop_last_record(path, need):
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
         image_id, index = lines[-1].split()[:2]
-        return f"{path}: no vector for image {image_id} proposal {index}; rerun 'extract'"
+        return f"{path}: no vector for image {image_id} proposal {index}; the text needs {need}"
 
-    expected = drop_last_record("cnn_train.txt")
+    expected = drop_last_record(texts[0], "one record per proposal of proposals_train.txt")
     assert cli.main(["train-svm", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"fusedet: error: {expected}\n"
     cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
@@ -235,11 +237,24 @@ def test_missing_cnn_records_name_the_file_image_and_proposal(pipe, tmp_path, ca
         pipeline.stage_train_prior(cfg, manifest, out)
     assert str(err.value) == expected
 
-    shutil.copy(pipe["out"] / "cnn_train.txt", out / "cnn_train.txt")
-    expected = drop_last_record("cnn_images_train.txt")
+    _write_user_texts(out, "train")
+    expected = drop_last_record(texts[1], "one record per image of the manifest, with proposal index 0")
     with pytest.raises(MissingArtifact) as err:
         pipeline.stage_train_prior(cfg, manifest, out)
     assert str(err.value) == expected
+
+
+def test_an_archive_without_cnn_rows_or_a_text_fails_naming_it_and_extract(pipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    archive = out / "features_train.npz"
+    arrays = load_arrays(archive)
+    del arrays["cnn"]
+    save_arrays(archive, arrays)
+    assert _cli("train-svm", pipe["train_manifest"], out) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {archive}: archive holds no cnn rows and there is no cnn_train.txt; rerun 'extract'\n"
+    )
 
 
 # ------------------------------------------------- CNN rows in the archive
@@ -270,8 +285,33 @@ def _count_saves(monkeypatch):
     return saves
 
 
+def _count_hashes(monkeypatch):
+    """Counts the files the pipeline hashes from here on."""
+    calls = []
+    digest = cache.file_sha256
+
+    def counted(path):
+        calls.append(path)
+        return digest(path)
+
+    monkeypatch.setattr(cache, "file_sha256", counted)
+    return calls
+
+
 def _row_keys(feats, man):
     return [(man.images[i].image_id, int(p)) for i, p in zip(feats["row_image"], feats["row_proposal"])]
+
+
+def _write_user_texts(out, split, vector=lambda v: v):
+    """Writes split's two CNN texts as a user would, from the rows its
+    archive holds, each mapped by vector; returns the proposal text and the
+    image text."""
+    feats = load_arrays(out / f"features_{split}.npz")
+    man = read_manifest(out / "data" / split / "manifest.txt")
+    texts = out / f"cnn_{split}.txt", out / f"cnn_images_{split}.txt"
+    write_cnn_features(texts[0], [(i, p, vector(v)) for (i, p), v in zip(_row_keys(feats, man), feats["cnn"])])
+    write_cnn_features(texts[1], [(im.image_id, 0, vector(v)) for im, v in zip(man.images, feats["prior_cnn"])])
+    return texts
 
 
 def _parsed_rows(text, keys):
@@ -286,25 +326,62 @@ def _assert_same_bits(got, want):
 
 
 def test_a_full_synth_run_parses_no_cnn_text(pipe):
-    assert pipe["parses"] == []
-    assert sorted(path.name for path in pipe["out"].glob("cnn_*")) == [
-        "cnn_images_test.txt",
-        "cnn_images_train.txt",
-        "cnn_test.txt",
-        "cnn_train.txt",
-    ]
-
-
-def test_extract_stores_the_parse_of_its_texts_bit_for_bit(pipe):
+    assert pipe["parses"] == [] and pipe["hashes"] == []
+    assert list(pipe["out"].glob("cnn_*")) == []
     for split in ("train", "test"):
-        feats = load_arrays(pipe["out"] / f"features_{split}.npz")
-        man = read_manifest(pipe["out"] / "data" / split / "manifest.txt")
-        for name, text, keys in (
-            ("cnn", pipe["out"] / f"cnn_{split}.txt", _row_keys(feats, man)),
-            ("prior_cnn", pipe["out"] / f"cnn_images_{split}.txt", [(im.image_id, 0) for im in man.images]),
-        ):
-            _assert_same_bits(feats[name], _parsed_rows(text, keys))
-            assert str(feats[name + "_sha256"]) == file_sha256(text)
+        assert not {"cnn_sha256", "prior_cnn_sha256"} & set(load_arrays(pipe["out"] / f"features_{split}.npz"))
+
+
+_TRAINED = ["svm_cnn.model", "svm_hog.model", "svm_ifv.model", "fusion.model", "regressor.model", "prior.model"]
+
+
+def _train_and_test(cfg, out, train, test):
+    """Runs the four train stages, detect and eval; returns the bytes of
+    every model, detection dump and report they write."""
+    for stage in (stage_train_svm, pipeline.stage_train_fusion, pipeline.stage_train_regressor):
+        stage(cfg, train, out)
+    pipeline.stage_train_prior(cfg, train, out)
+    stage_detect(cfg, test, out)
+    stage_eval(cfg, test, out)
+    return {name: (out / name).read_bytes() for name in _TRAINED + ["detections_test.txt", "report_test.txt"]}
+
+
+def test_a_text_written_from_the_archive_rows_imports_bit_for_bit(pipe, tmp_path, monkeypatch):
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    runs, parsed = {}, {}
+    for run in ("plain", "texts"):
+        out = tmp_path / run
+        shutil.copytree(pipe["out"], out)
+        if run == "texts":
+            for split in ("train", "test"):
+                _write_user_texts(out, split)
+        parsed[run] = _count_parses(monkeypatch)
+        runs[run] = _train_and_test(cfg, out, *(out / "data" / split / "manifest.txt" for split in ("train", "test")))
+    assert parsed["plain"] == []
+    assert sorted(path.name for path in parsed["texts"]) == [
+        "cnn_images_test.txt", "cnn_images_train.txt", "cnn_test.txt", "cnn_train.txt"
+    ]
+    for split in ("train", "test"):
+        plain, texts = (load_arrays(tmp_path / run / f"features_{split}.npz") for run in ("plain", "texts"))
+        for name, text in (("cnn", f"cnn_{split}.txt"), ("prior_cnn", f"cnn_images_{split}.txt")):
+            _assert_same_bits(texts[name], plain[name])
+            assert str(texts[name + "_sha256"]) == file_sha256(tmp_path / "texts" / text)
+    assert runs["texts"] == runs["plain"]
+
+
+def test_rerunning_extract_removes_a_user_text_and_warns_once_per_file(pipe, tmp_path, caplog):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    texts = _write_user_texts(out, "train", lambda v: 2.0 * v + 1.0)
+    stage_extract(pipe["cfg"], pipe["train_manifest"], out)
+    assert not any(text.exists() for text in texts)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.getMessage() for r in warnings] == [
+        f"removed {text}: extract replaced the rows it was written for" for text in texts
+    ]
+    assert (out / "features_train.npz").read_bytes() == (pipe["out"] / "features_train.npz").read_bytes()
+    for path in stage_train_svm(pipe["cfg"], pipe["train_manifest"], out):
+        assert path.read_bytes() == (pipe["out"] / path.name).read_bytes(), path.name
 
 
 def test_replaced_embeddings_are_imported_into_the_archive_once(pipe, tmp_path, monkeypatch):
@@ -312,9 +389,7 @@ def test_replaced_embeddings_are_imported_into_the_archive_once(pipe, tmp_path, 
     shutil.copytree(pipe["out"], out)
     manifest = out / "data" / "train" / "manifest.txt"
     archive = out / "features_train.npz"
-    for name in ("cnn_train.txt", "cnn_images_train.txt"):
-        index, matrix = load_cnn_features(out / name)
-        write_cnn_features(out / name, [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()])
+    _write_user_texts(out, "train", lambda v: 2.0 * v + 1.0)
     cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
     feats = load_arrays(archive)
     keys = _row_keys(feats, read_manifest(manifest))
@@ -340,6 +415,43 @@ def test_replaced_embeddings_are_imported_into_the_archive_once(pipe, tmp_path, 
         assert stored[name].tobytes() == feats[name].tobytes(), name
 
 
+def test_the_benchmark_embed_order_runs_every_verb_and_parses_each_text_once(pipe, tmp_path, monkeypatch, capsys):
+    # perfbench's embed workload: propose and extract both splits, write its
+    # own vectors with pipeline.write_cnn_features, then run the timed verbs
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(
+        MICRO_CODEBOOK + "ifv.codebook_samples = 1500\nifv.gmm_iters = 20\nsvm.epochs = 5\nfusion.epochs = 5\n"
+    )
+    manifests = {split: pipe[f"{split}_manifest"] for split in ("train", "test")}
+
+    def run(verb, split):
+        assert _cli(verb, manifests[split], out, "--config", str(cfg_file)) == 0, capsys.readouterr().err
+
+    for verb in ("propose", "extract"):
+        for split in manifests:
+            run(verb, split)
+    rng = np.random.default_rng(14)
+    for split, manifest in manifests.items():
+        images = read_manifest(manifest).images
+        props = read_proposals(out / f"proposals_{split}.txt")
+        pipeline.write_cnn_features(
+            out / f"cnn_{split}.txt",
+            [(im.image_id, p, rng.random(24)) for im in images for p in range(len(props[im.image_id]))],
+        )
+        pipeline.write_cnn_features(
+            out / f"cnn_images_{split}.txt", [(im.image_id, 0, rng.random(24)) for im in images]
+        )
+    calls = _count_parses(monkeypatch)
+    for verb in ("train-svm", "train-fusion", "train-regressor", "train-prior"):
+        run(verb, "train")
+        assert calls == [out / "cnn_train.txt"]
+    for verb in ("detect", "eval"):
+        run(verb, "test")
+    assert calls == [out / "cnn_train.txt", out / "cnn_test.txt"]
+    assert load_arrays(out / "features_train.npz")["cnn"].shape[1] == 24
+
+
 _IMAGE_IDS = st.text(alphabet="ab_09.-\x00", min_size=1, max_size=5)
 
 
@@ -359,7 +471,7 @@ def test_the_archive_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, 
     expected = _parsed_rows(text, wanted)
 
     feats = {}
-    assert pipeline._import_cnn(feats, "cnn", text, wanted)
+    assert pipeline._import_cnn(feats, "cnn", text, archive, lambda: wanted, "every key")
     _assert_same_bits(feats["cnn"], expected)
 
     # the reader serves the same rows from a split whose archive lacks them,
@@ -380,7 +492,7 @@ def test_the_archive_holds_the_parse_bit_for_bit(tmp_path_factory, keys, width, 
     assert calls == [text]
     stored = load_arrays(archive)
     _assert_same_bits(stored["cnn"], expected)
-    assert not pipeline._import_cnn(stored, "cnn", text, wanted)
+    assert not pipeline._import_cnn(stored, "cnn", text, archive, lambda: pytest.fail("keys built"), "every key")
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_parses(mp)
         _assert_same_bits(pipeline._stage_inputs(None, folder, "t", man=man).channels["cnn"], expected)
@@ -393,6 +505,9 @@ def test_an_archive_without_its_cnn_rows_is_restored_byte_for_byte(pipe, tmp_pat
     shutil.copytree(pipe["out"], out)
     manifest = out / "data" / "train" / "manifest.txt"
     archive = out / "features_train.npz"
+    _write_user_texts(out, "train", lambda v: 2.0 * v + 1.0)
+    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
+    pipeline.stage_train_prior(cfg, manifest, out)
     good = archive.read_bytes()
     arrays = load_arrays(archive)
     for name in ("cnn", "prior_cnn"):
@@ -402,7 +517,6 @@ def test_an_archive_without_its_cnn_rows_is_restored_byte_for_byte(pipe, tmp_pat
             arrays[name + "_sha256"] = np.array("0" * 64)
     save_arrays(archive, arrays)
 
-    cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
     calls = _count_parses(monkeypatch)
     stage_train_svm(cfg, manifest, out)
     pipeline.stage_train_prior(cfg, manifest, out)
@@ -420,6 +534,8 @@ def test_detect_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, monkeypa
     pipeline.stage_train_prior(cfg, pipe["train_manifest"], out)
     manifest = out / "data" / "test" / "manifest.txt"
     archive = out / "features_test.npz"
+    _write_user_texts(out, "test")
+    pipeline.stage_detect(cfg, manifest, out)
     good = archive.read_bytes()
     arrays = load_arrays(archive)
     for name in ("cnn", "prior_cnn"):
@@ -449,10 +565,7 @@ def test_train_prior_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, mon
     cfg = dataclasses.replace(pipe["cfg"], prior_feature="cnn")
     manifest = out / "data" / "train" / "manifest.txt"
     archive = out / "features_train.npz"
-    texts = [out / "cnn_train.txt", out / "cnn_images_train.txt"]
-    for text in texts:
-        index, matrix = load_cnn_features(text)
-        write_cnn_features(text, [(image_id, p, 2.0 * matrix[row] + 1.0) for (image_id, p), row in index.items()])
+    texts = list(_write_user_texts(out, "train", lambda v: 2.0 * v + 1.0))
     before = archive.read_bytes()
 
     saves = _count_saves(monkeypatch)
@@ -477,7 +590,7 @@ def test_train_prior_imports_both_cnn_texts_with_one_rewrite(pipe, tmp_path, mon
 def test_malformed_replaced_text_fails_with_its_line_and_leaves_the_archive(pipe, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipe["out"], out)
-    text = out / "cnn_train.txt"
+    text = _write_user_texts(out, "train")[0]
     archive = (out / "features_train.npz").read_bytes()
     lines = text.read_text().splitlines(keepends=True)
     lines.insert(2, "img 0 1.0 oops\n")
@@ -765,10 +878,6 @@ def test_all_writes_the_whole_artifact_graph(pipe):
         "proposals_test.txt",
         "features_train.npz",
         "features_test.npz",
-        "cnn_train.txt",
-        "cnn_test.txt",
-        "cnn_images_train.txt",
-        "cnn_images_test.txt",
         "codebook_pca.model",
         "codebook_gmm.model",
         "svm_cnn.model",
@@ -859,7 +968,7 @@ def test_feature_rows_align_with_proposals(pipe):
 
 
 def test_stand_in_embeddings_are_unit_norm(pipe):
-    _, matrix = load_cnn_features(pipe["out"] / "cnn_test.txt")
+    matrix = load_arrays(pipe["out"] / "features_test.npz")["cnn"]
     assert matrix.shape[1] == 3 * pipeline.CNN_EMBED_SIDE**2
     norms = [float(v @ v) for v in matrix[:50]]
     assert np.allclose(norms, 1.0, atol=1e-9)
@@ -1140,6 +1249,13 @@ def test_no_cli_number_bypasses_the_numeric_table():
     options = {(a.dest, a.option_strings[0]) for _, a in _options()}
     for dest, (option, _) in cli._NUMBERS.items():
         assert (dest, option) in options, f"{dest} ({option}) belongs to no verb"
+
+
+def test_stage_all_takes_its_split_sizes_from_the_parser_defaults():
+    defaults = inspect.signature(pipeline.stage_all).parameters
+    args = cli.build_parser().parse_args(["all", "--out-dir", "out"])
+    assert args.train_images == str(defaults["train_images"].default)
+    assert args.test_images == str(defaults["test_images"].default)
 
 
 def test_stage_all_takes_its_dataset_defaults_from_synth_spec():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fusedet.core import Box, Detection, GroundTruth, iou
+from fusedet.modelio import write_model
 from fusedet.regress import (
     BoxRegressor,
     BoxTargets,
@@ -301,3 +302,25 @@ def test_save_load_round_trips_bits_including_empty(tmp_path):
     empty.save(tmp_path / "empty.txt")
     loaded = BoxRegressor.load(tmp_path / "empty.txt")
     assert loaded.dim == 7 and loaded.coefficients == {}
+
+
+@pytest.mark.parametrize(
+    "dim, ids, why",
+    [
+        ("2", [1.9], "category ids must be non-negative whole numbers, got 1.9"),
+        ("2", [-1.0], "category ids must be non-negative whole numbers, got -1.0"),
+        ("1_0", [1.0], "expected a non-negative integer, got '1_0'"),
+        ("+2", [1.0], "expected a non-negative integer, got '+2'"),
+        ("x", [1.0], "expected a non-negative integer, got 'x'"),
+    ],
+    ids=["id-1.9", "id-negative", "dim-1_0", "dim-plus", "dim-x"],
+)
+def test_load_takes_only_whole_category_ids_and_a_count_for_dim(tmp_path, dim, ids, why):
+    # int() would read category 1.9 as 1, and dim 1_0 as 10
+    path = tmp_path / "regressor.model"
+    width = 11 if dim == "1_0" else 3
+    arrays = {"category_ids": np.array([ids]), "category_1": np.zeros((4, width))}
+    write_model(path, "bbox-regressor", {"dim": dim}, arrays)
+    with pytest.raises(ValueError) as err:
+        BoxRegressor.load(path)
+    assert str(err.value) == f"{path}: not a valid box regressor: {why}"
