@@ -163,8 +163,21 @@ def _run(args) -> int:
     return 0
 
 
+class _StderrHandler(logging.Handler):
+    """Writes each record to the sys.stderr of the moment it is emitted. A
+    logging.StreamHandler keeps the stream it was made with, so a verb run
+    later in the same process under contextlib.redirect_stderr would log
+    into the first verb's stream."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", handlers=[_StderrHandler()])
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -11,11 +11,10 @@ power normalization and global L2 normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .. import modelio
 
@@ -193,16 +192,41 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
-    """log(w_k * N(x | mu_k, diag var_k)) for every descriptor/component.
+def logsumexp(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, with the bits of scipy 1.17.1's
+    scipy.special.logsumexp on real input without NaN.
+
+    The terms equal to the row maximum are left out of the sum s of
+    exp(a - max) and counted instead (m); the result is
+    log1p(s / m) + log(m) + max. A row whose maximum is not finite is
+    shifted by 0, so a row of -inf gives -inf. The maximum is taken one
+    column at a time, which for a short last axis is faster than a.max.
+    """
+    top = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j], out=top)
+    top = top[..., None]
+    is_max = a == top
+    terms = a - np.where(np.isfinite(top), top, 0.0)
+    np.exp(terms, out=terms)
+    np.putmask(terms, is_max, 0.0)
+    s = terms.sum(axis=-1, keepdims=True)
+    m = is_max.sum(axis=-1, keepdims=True, dtype=np.float64)
+    out = np.log1p(s / m) + np.log(m) + top
+    return out if keepdims else out[..., 0]
+
+
+def _log_densities(gmm: GmmModel, X_sq: np.ndarray, X_twice: np.ndarray) -> np.ndarray:
+    """log(w_k * N(x | mu_k, diag var_k)) for every descriptor/component,
+    from X**2 and 2.0*X of the descriptors X.
 
     X is (T, D) or a (P, T, D) stack; a stack is multiplied one (T, D) matrix
     at a time, so each set gets exactly the values it gets on its own.
     """
     inv_var = 1.0 / gmm.variances
     quad = (
-        (X**2) @ inv_var.T
-        - 2.0 * X @ (gmm.means * inv_var).T
+        X_sq @ inv_var.T
+        - X_twice @ (gmm.means * inv_var).T
         + ((gmm.means**2) * inv_var).sum(axis=1)[None, :]
     )
     log_norm = -0.5 * (
@@ -211,10 +235,11 @@ def _log_densities(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
     return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * quad
 
 
-def gmm_posteriors(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Soft assignments of (T, D) or (P, T, D) descriptors; rows sum to 1."""
-    logp = _log_densities(gmm, X)
-    return np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
+def gmm_posteriors(gmm: GmmModel, X: np.ndarray, X_sq: Optional[np.ndarray] = None) -> np.ndarray:
+    """Soft assignments of (T, D) or (P, T, D) descriptors; rows sum to 1.
+    X_sq is X**2 where the caller has it already."""
+    logp = _log_densities(gmm, X**2 if X_sq is None else X_sq, 2.0 * X)
+    return np.exp(logp - logsumexp(logp, keepdims=True))
 
 
 def gmm_fit(
@@ -245,7 +270,8 @@ def gmm_fit(
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp(X, k, rng)
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    # one (n,) distance column per centre, so no (n, k, D) array is built
+    d2 = np.stack([((X - c) ** 2).sum(axis=1) for c in centers], axis=1)
     assign = d2.argmin(axis=1)
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     weights = counts / n
@@ -259,10 +285,11 @@ def gmm_fit(
     variances = np.maximum(variances, variance_floor)
     gmm = GmmModel(weights=weights, means=means, variances=variances)
 
+    X_sq, X_twice = X**2, 2.0 * X
     lls: List[float] = []
     for _ in range(max_iters):
-        logp = _log_densities(gmm, X)
-        log_marginal = logsumexp(logp, axis=1)
+        logp = _log_densities(gmm, X_sq, X_twice)
+        log_marginal = logsumexp(logp)
         ll = float(log_marginal.mean())
         if lls:
             slack = 1e-9 * max(1.0, abs(lls[-1]))
@@ -278,7 +305,7 @@ def gmm_fit(
         nk = gamma.sum(axis=0)
         gmm.weights = nk / n
         gmm.means = (gamma.T @ X) / nk[:, None]
-        second = (gamma.T @ (X**2)) / nk[:, None]
+        second = (gamma.T @ X_sq) / nk[:, None]
         gmm.variances = np.maximum(second - gmm.means**2, variance_floor)
 
     gmm.log_likelihoods = lls
@@ -307,13 +334,14 @@ def fisher_encode(descriptors: np.ndarray, gmm: GmmModel) -> np.ndarray:
     if single:
         X = X[None]
     n, t, _ = X.shape
-    gamma = gmm_posteriors(gmm, X)  # (P, T, K)
+    X_sq = X**2
+    gamma = gmm_posteriors(gmm, X, X_sq)  # (P, T, K)
 
     # per-set statistics, one (K, T) @ (T, D) product per set
     s0 = gamma.sum(axis=1)  # (P, K)
     gamma_t = gamma.transpose(0, 2, 1)
     s1 = gamma_t @ X  # (P, K, D)
-    s2 = gamma_t @ (X**2)  # (P, K, D)
+    s2 = gamma_t @ X_sq  # (P, K, D)
 
     w = gmm.weights
     mu = gmm.means

@@ -298,6 +298,7 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     if not chunks:
         raise ValueError("no descriptors available to fit the codebook")
     pool = np.concatenate(chunks)
+    del chunks  # so the fit below holds one copy of the pool
     if len(pool) > cfg.ifv_codebook_samples:
         rng = np.random.default_rng(derive_seed(cfg.seed, "codebook-sample"))
         keep = np.sort(rng.choice(len(pool), size=cfg.ifv_codebook_samples, replace=False))

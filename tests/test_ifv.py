@@ -1,7 +1,13 @@
 """Dense descriptors, PCA, the GMM codebook, and Fisher encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fusedet import modelio
 from fusedet.features.ifv import (
@@ -12,6 +18,7 @@ from fusedet.features.ifv import (
     fisher_length,
     gmm_fit,
     gmm_posteriors,
+    logsumexp,
     pca_apply,
     pca_fit,
 )
@@ -255,6 +262,169 @@ def test_gmm_posteriors_rows_sum_to_one():
     gamma = gmm_posteriors(gmm, X)
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(gamma >= 0)
+
+
+# ------------------------------------------------------------------ logsumexp
+
+
+@st.composite
+def _lse_inputs(draw):
+    """(n, k) or (P, T, K) arrays of reals, small integers and -inf; some
+    rows are all -inf and some all small integers, so maxima tie."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 30), st.integers(1, 20)),
+            st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 20)),
+        )
+    )
+    entries = st.one_of(
+        st.floats(-1e300, 1e300, allow_nan=False),
+        st.integers(-3, 3).map(float),
+        st.just(-np.inf),
+    )
+    a = draw(hnp.arrays(np.float64, shape, elements=entries))
+    ints = draw(hnp.arrays(np.int8, shape, elements=st.integers(-3, 3)))
+    kind = draw(hnp.arrays(np.int8, shape[:-1], elements=st.integers(0, 2)))[..., None]
+    return np.where(kind == 1, -np.inf, np.where(kind == 2, ints, a))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_lse_inputs(), keepdims=st.booleans())
+@example(a=np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 2.0], [-np.inf, -np.inf, -np.inf], [-np.inf, 0.5, 0.5]]), keepdims=False)
+@example(a=np.full((2, 3, 4), -np.inf), keepdims=True)
+@example(a=np.array([[[3.0], [-np.inf]]]), keepdims=False)
+def test_logsumexp_has_the_bits_of_scipy(a, keepdims):
+    # pins the numpy form to scipy's algorithm: a scipy that changes it
+    # fails here before it changes a codebook byte
+    got = logsumexp(a, keepdims=keepdims)
+    want = scipy.special.logsumexp(a, axis=-1, keepdims=keepdims)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------ the EM it replaced
+
+
+def _old_kmeans_pp(X, k, rng):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = X[first]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            raise ValueError(f"fewer than {k} distinct descriptors")
+        idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _old_log_densities(gmm, X):
+    inv_var = 1.0 / gmm.variances
+    quad = (
+        (X**2) @ inv_var.T
+        - 2.0 * X @ (gmm.means * inv_var).T
+        + ((gmm.means**2) * inv_var).sum(axis=1)[None, :]
+    )
+    log_norm = -0.5 * (gmm.dim * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
+    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+
+
+def _old_gmm_fit(X, k, max_iters, tol, seed, variance_floor=1e-4):
+    """EM as written with scipy's logsumexp, X**2 squared in every
+    iteration and the (n, k, D) difference cube for the first assignment."""
+    n, dim = X.shape
+    rng = np.random.default_rng(seed)
+    centers = _old_kmeans_pp(X, k, rng)
+    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    weights = np.bincount(assign, minlength=k).astype(np.float64) / n
+    means = centers.copy()
+    variances = np.full((k, dim), 1.0)
+    for j in range(k):
+        members = X[assign == j]
+        if len(members):
+            means[j] = members.mean(axis=0)
+            variances[j] = members.var(axis=0)
+    gmm = GmmModel(weights=weights, means=means, variances=np.maximum(variances, variance_floor))
+    lls = []
+    for _ in range(max_iters):
+        logp = _old_log_densities(gmm, X)
+        log_marginal = scipy.special.logsumexp(logp, axis=1)
+        ll = float(log_marginal.mean())
+        converged = bool(lls) and ll - lls[-1] < tol
+        lls.append(ll)
+        if converged:
+            break
+        gamma = np.exp(logp - log_marginal[:, None])
+        nk = gamma.sum(axis=0)
+        gmm.weights = nk / n
+        gmm.means = (gamma.T @ X) / nk[:, None]
+        second = (gamma.T @ (X**2)) / nk[:, None]
+        gmm.variances = np.maximum(second - gmm.means**2, variance_floor)
+    gmm.log_likelihoods = lls
+    return gmm
+
+
+def _em_points(seed, n, d, copies, step):
+    """n points in d dims from a few blobs of different spreads, rounded to
+    multiples of step if it is set (so distances to centres tie); each
+    point repeated copies times, the repeats shuffled in."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=4.0, size=(4, d))
+    X = centres[rng.integers(4, size=n)] + rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0, size=(n, 1))
+    if step:
+        X = np.round(X / step) * step
+    return rng.permutation(np.repeat(X, copies, axis=0))
+
+
+@pytest.mark.parametrize(
+    "seed, n, d, k, copies, step, iters, tol",
+    [
+        (0, 300, 2, 3, 1, 0, 60, 1e-12),
+        (1, 500, 8, 5, 1, 0, 40, 1e-12),
+        (2, 400, 64, 16, 1, 0, 30, 1e-12),
+        (3, 200, 3, 1, 1, 0, 10, 1e-12),
+        (4, 120, 5, 4, 3, 0, 50, 1e-12),
+        (5, 60, 1, 6, 5, 0, 50, 1e-12),
+        (6, 800, 16, 8, 1, 0, 100, 1e-4),
+        (7, 40, 4, 40, 1, 0, 5, 1e-12),
+        (8, 300, 3, 6, 2, 0.1, 30, 1e-12),
+        (9, 400, 2, 8, 1, 0.3, 30, 1e-12),
+    ],
+)
+def test_gmm_fit_has_the_bits_of_the_em_it_replaced(seed, n, d, k, copies, step, iters, tol):
+    X = _em_points(seed, n, d, copies, step)
+    new = gmm_fit(X, k, iters, tol, seed + 100)
+    old = _old_gmm_fit(X, k, iters, tol, seed + 100)
+    for name in ("weights", "means", "variances"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert new.log_likelihoods == old.log_likelihoods
+
+
+def test_gmm_posteriors_of_a_stack_have_the_bits_of_the_old_softmax():
+    rng = np.random.default_rng(67)
+    X = rng.normal(size=(5, 49, 6))
+    gmm = gmm_fit(rng.normal(size=(300, 6)), 7, 10, 1e-12, 3)
+    logp = _old_log_densities(gmm, X)
+    want = np.exp(logp - scipy.special.logsumexp(logp, axis=-1, keepdims=True))
+    assert gmm_posteriors(gmm, X).tobytes() == want.tobytes()
+    assert gmm_posteriors(gmm, X, X**2).tobytes() == want.tobytes()
+
+
+def test_gmm_fit_memory_follows_the_pool_not_the_cube():
+    # the (n, k, D) difference cube of the first assignment alone is
+    # 4000 * 16 * 64 * 8 bytes = 32.8 MB; the pool itself is 2 MB
+    X = np.random.default_rng(71).normal(size=(4000, 64))
+    tracemalloc.start()
+    try:
+        gmm_fit(X, 16, 3, 1e-12, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 # --------------------------------------------------------------------- fisher

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import inspect
+import json
+import os
 import shutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -382,6 +386,40 @@ def test_rerunning_extract_removes_a_user_text_and_warns_once_per_file(pipe, tmp
     assert (out / "features_train.npz").read_bytes() == (pipe["out"] / "features_train.npz").read_bytes()
     for path in stage_train_svm(pipe["cfg"], pipe["train_manifest"], out):
         assert path.read_bytes() == (pipe["out"] / path.name).read_bytes(), path.name
+
+
+_TWO_EXTRACTS = """
+import contextlib, io, json, sys
+from fusedet import cli
+out, manifest, config = sys.argv[1:]
+captured = []
+for _ in range(2):
+    with open(out + "/cnn_train.txt", "w") as fh:
+        fh.write("planted\\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["extract", "--manifest", manifest, "--out-dir", out, "--config", config])
+    captured.append([code, err.getvalue()])
+print(json.dumps(captured))
+"""
+
+
+def test_each_verb_logs_into_the_stderr_it_runs_under(pipe, tmp_path):
+    # in a child interpreter: pytest's own log handlers on the root logger
+    # would keep the CLI from installing its handler here
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    config = tmp_path / "config.txt"
+    config.write_text(MICRO_CODEBOOK)
+    manifest = out / "data" / "train" / "manifest.txt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _TWO_EXTRACTS, str(out), str(manifest), str(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    warning = f"WARNING fusedet.pipeline: removed {out / 'cnn_train.txt'}: extract replaced the rows it was written for\n"
+    assert json.loads(done.stdout) == [[0, warning], [0, warning]]
 
 
 def test_replaced_embeddings_are_imported_into_the_archive_once(pipe, tmp_path, monkeypatch):
@@ -1249,6 +1287,13 @@ def test_no_cli_number_bypasses_the_numeric_table():
     options = {(a.dest, a.option_strings[0]) for _, a in _options()}
     for dest, (option, _) in cli._NUMBERS.items():
         assert (dest, option) in options, f"{dest} ({option}) belongs to no verb"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = "import sys, fusedet.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n", done.stderr
 
 
 def test_stage_all_takes_its_split_sizes_from_the_parser_defaults():
