@@ -15,6 +15,7 @@ from . import pipeline
 from .config import PipelineConfig, load_config, parse_setting
 from .evaluation import mean_ap, read_report
 from .modelio import fmt_float, parse_count, parse_real
+from .parallel import single_thread_blas
 from .synth import SynthSpec, generate_dataset
 
 # The stage verbs in chain order, with their help lines. Each of them, and
@@ -177,6 +178,7 @@ class _StderrHandler(logging.Handler):
 
 
 def main(argv=None) -> int:
+    single_thread_blas()  # the same bytes whatever the CPU count
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", handlers=[_StderrHandler()])
     args = build_parser().parse_args(argv)
     try:

@@ -7,6 +7,7 @@ from .ifv import (
     GmmModel,
     PcaModel,
     dense_descriptors,
+    descriptor_count,
     fisher_encode,
     fisher_length,
     gmm_fit,
@@ -21,6 +22,7 @@ __all__ = [
     "GmmModel",
     "PcaModel",
     "dense_descriptors",
+    "descriptor_count",
     "fisher_encode",
     "fisher_length",
     "gmm_fit",

@@ -130,18 +130,32 @@ def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray
     return out[0] if single else out
 
 
-def pca_fit(descriptors: np.ndarray, target_dim: int) -> PcaModel:
+def descriptor_count(height: int, width: int, stride: int, patch: int) -> int:
+    """How many descriptors dense_descriptors cuts from one (height, width)
+    plane: one per stride-th patch position along each axis."""
+    if width < patch or height < patch:
+        return 0
+    return -(-(height - patch + 1) // stride) * -(-(width - patch + 1) // stride)
+
+
+def pca_fit(descriptors: np.ndarray, target_dim: int, overwrite_descriptors: bool = False) -> PcaModel:
     """Top-eigenvector projection of the sample covariance.
 
     The decomposition is deterministic. Raises when the data cannot support
     target_dim components, naming the achievable rank.
+
+    With overwrite_descriptors, a float64 descriptors array is centred in
+    place instead of copied: it then holds descriptors - mean, so
+    descriptors @ basis has the bits pca_apply gives for the original rows.
     """
     X = np.asarray(descriptors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need a 2-d array with at least 2 samples")
     mean = X.mean(axis=0)
-    centered = X - mean
+    centered = X if overwrite_descriptors else X.copy()
+    centered -= mean
     cov = centered.T @ centered / X.shape[0]
+    del centered
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = eigvals[::-1]
     eigvecs = eigvecs[:, ::-1]

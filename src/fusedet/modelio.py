@@ -85,8 +85,8 @@ def write_model(path, kind: str, meta: Dict[str, str], arrays: Dict[str, np.ndar
         for name, arr in arrays.items():
             a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
             fh.write(f"array {name} {a.shape[0]} {a.shape[1]}\n")
-            for row in a:
-                fh.write(" ".join(fmt_float(v) for v in row) + "\n")
+            for row in a.tolist():  # Python floats format faster than numpy scalars, to the same text
+                fh.write(" ".join(map(fmt_float, row)) + "\n")
         fh.write("end\n")
 
 

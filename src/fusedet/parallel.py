@@ -18,6 +18,10 @@ places use it:
 train-fusion and train-prior stay in one process: each fits one small model
 per category, and all of its fits together cost about as much as starting
 the workers does.
+
+This module also owns the OpenBLAS thread count: `single_thread_blas` runs
+OpenBLAS on one thread in every worker and, called from `cli.main`, in the
+calling process, so the CLI's outputs do not depend on the CPU count either.
 """
 
 from __future__ import annotations
@@ -64,12 +68,16 @@ def shared_empty(shape: Tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-def _single_thread_blas() -> None:
+def single_thread_blas() -> None:
     """Runs every OpenBLAS this process has loaded on the calling thread
-    alone. OpenBLAS starts one thread per CPU, and its idle threads spin; in
-    one worker per CPU they take the CPUs from the other workers. On a
-    2-vCPU VM, extracting 40 images took 4.5-9.9 s that way, against 1.6 s
-    in one process."""
+    alone. `cli.main` calls it on entry and every worker on start.
+
+    OpenBLAS splits a matrix product's sums over one thread per CPU, so
+    products run on more threads can differ in the last bits: a codebook fit
+    or a train-fusion on another machine would write other bytes. And its
+    idle threads spin; in one worker per CPU they take the CPUs from the
+    other workers. On a 2-vCPU VM, extracting 40 images took 4.5-9.9 s that
+    way, against 1.6 s in one process."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
@@ -119,7 +127,7 @@ def _start_worker(work: Callable[[int], object], parent: int) -> None:
     if os.getppid() != parent:
         os._exit(1)
     _work = work
-    _single_thread_blas()
+    single_thread_blas()
 
 
 def _run(i: int):

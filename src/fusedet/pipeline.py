@@ -33,6 +33,7 @@ from .core import Box, Detection, GroundTruth, iou, nms, read_detections, write_
 from .evaluation import mean_ap, per_class_report, read_report, write_report, categories_won
 from .features import (
     dense_descriptors,
+    descriptor_count,
     fisher_encode,
     fisher_length,
     GmmModel,
@@ -266,7 +267,20 @@ def extract_image(
     return _fisher_rows(cfg, px, full, pca, gmm)[0], _embed_rows(px, full)[0]
 
 
-def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[PcaModel, GmmModel]:
+def _fit_codebook(
+    cfg: PipelineConfig, man: DatasetManifest, out_dir
+) -> Tuple[PcaModel, GmmModel, Dict[str, object]]:
+    """The saved codebook, or one fit on man's images and saved, with the
+    run-log lines that say which: `codebook loaded`, or `codebook fit` and
+    the pool, EM iteration count and final mean log-likelihood of the fit.
+
+    The fit holds one pool array, of the descriptors it fits on. The images
+    are read until they give 4 * ifv.codebook_samples descriptors, and a
+    sorted random subset of ifv.codebook_samples of them is drawn. Each
+    image's kept descriptors are then written into its rows of the pool,
+    and pca_fit centres the pool in place, so pool @ basis is the reduced
+    fit set.
+    """
     pca_file, gmm_file = codebook_paths(out_dir)
     refit = f"delete {pca_file.name} and {gmm_file.name} and rerun 'extract' on the training split"
     if pca_file.exists() and gmm_file.exists():
@@ -283,28 +297,37 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
                 raise MissingArtifact(
                     f"{path}: saved codebook has {saved} {what} where {key} asks for {want}; {refit}"
                 )
-        return pca, gmm
+        return pca, gmm, {"codebook": "loaded"}
 
-    chunks = []
-    total = 0
+    # the 8-bit images first, about 1/18 the size of their descriptors: their
+    # shapes give the descriptor count, and with it the rows to keep, before
+    # any descriptor is computed
+    images, starts = [], []
+    drawn = 0
     for im in man.images:
         img = read_pnm(man.resolved_path(im))
-        d = dense_descriptors(to_grayscale(img), cfg.ifv_stride, cfg.ifv_patch)
-        if len(d):
-            chunks.append(d)
-            total += len(d)
-        if total >= 4 * cfg.ifv_codebook_samples:
+        count = descriptor_count(img.height, img.width, cfg.ifv_stride, cfg.ifv_patch)
+        if count:
+            images.append(img)
+            starts.append(drawn)
+            drawn += count
+        if drawn >= 4 * cfg.ifv_codebook_samples:
             break
-    if not chunks:
+    if not images:
         raise ValueError("no descriptors available to fit the codebook")
-    pool = np.concatenate(chunks)
-    del chunks  # so the fit below holds one copy of the pool
-    if len(pool) > cfg.ifv_codebook_samples:
+    if drawn > cfg.ifv_codebook_samples:
         rng = np.random.default_rng(derive_seed(cfg.seed, "codebook-sample"))
-        keep = np.sort(rng.choice(len(pool), size=cfg.ifv_codebook_samples, replace=False))
-        pool = pool[keep]
-    pca = pca_fit(pool, cfg.ifv_pca_dim)
-    reduced = pca_apply(pca, pool)
+        keep = np.sort(rng.choice(drawn, size=cfg.ifv_codebook_samples, replace=False))
+    else:
+        keep = np.arange(drawn)
+    bounds = np.searchsorted(keep, starts + [drawn]).tolist()  # each image's rows of the pool
+    pool = np.empty((len(keep), 2 * cfg.ifv_patch**2))
+    for img, start, lo, hi in zip(images, starts, bounds, bounds[1:]):
+        pool[lo:hi] = dense_descriptors(to_grayscale(img), cfg.ifv_stride, cfg.ifv_patch)[keep[lo:hi] - start]
+    del images
+    pca = pca_fit(pool, cfg.ifv_pca_dim, overwrite_descriptors=True)
+    reduced = pool @ pca.basis
+    del pool
     gmm = gmm_fit(
         reduced,
         cfg.ifv_gmm_k,
@@ -315,8 +338,14 @@ def _fit_codebook(cfg: PipelineConfig, man: DatasetManifest, out_dir) -> Tuple[P
     )
     pca.save(pca_file)
     gmm.save(gmm_file)
-    logger.info("codebook fit on %d descriptors", len(pool))
-    return pca, gmm
+    logger.info("codebook fit on %d descriptors", len(keep))
+    return pca, gmm, {
+        "codebook": "fit",
+        "codebook_drawn": drawn,
+        "codebook_pool": len(keep),
+        "codebook_em_iterations": len(gmm.log_likelihoods),
+        "codebook_log_likelihood": modelio.fmt_float(gmm.log_likelihoods[-1]),
+    }
 
 
 def _row_keys(man: DatasetManifest, feats: Dict[str, np.ndarray]) -> List[Tuple[str, int]]:
@@ -336,7 +365,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
                 f"no proposals for image {im.image_id}; rerun 'propose' on this manifest"
             )
 
-    pca, gmm = _fit_codebook(cfg, man, out_dir)
+    pca, gmm, codebook = _fit_codebook(cfg, man, out_dir)
 
     counts = np.array([len(props[im.image_id]) for im in man.images], dtype=np.int64)
     starts = np.cumsum(counts) - counts
@@ -386,7 +415,7 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
             logger.warning("removed %s: extract replaced the rows it was written for", text)
     path = features_path(out_dir, tag)
     cache.save_arrays(path, arrays)
-    _run_log(out_dir, "extract", tag, cfg, {"rows": n, "images": len(man.images)})
+    _run_log(out_dir, "extract", tag, cfg, {"rows": n, "images": len(man.images), **codebook})
     return path
 
 

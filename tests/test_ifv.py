@@ -14,6 +14,7 @@ from fusedet.features.ifv import (
     GmmModel,
     PcaModel,
     dense_descriptors,
+    descriptor_count,
     fisher_encode,
     fisher_length,
     gmm_fit,
@@ -75,6 +76,13 @@ def test_dense_descriptors_on_a_plane_one_patch_wide(stride):
         assert np.array_equal(row, d / np.sqrt(d @ d))
     stack = dense_descriptors(np.stack([plane, plane[::-1]]), stride=stride, patch=16)
     assert np.array_equal(stack[0], out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 40), width=st.integers(1, 40), stride=st.integers(1, 12), patch=st.integers(2, 18))
+def test_descriptor_count_is_the_row_count_of_dense_descriptors(height, width, stride, patch):
+    plane = np.zeros((height, width))
+    assert descriptor_count(height, width, stride, patch) == len(dense_descriptors(plane, stride, patch))
 
 
 def test_dense_descriptors_validate_arguments():
@@ -168,6 +176,22 @@ def test_pca_apply_stack_equals_each_set_alone(count):
     assert Z.shape == (8, count, 5)
     for p in range(8):
         assert np.array_equal(Z[p], pca_apply(model, stack[p]))
+
+
+def test_pca_fit_that_may_overwrite_centres_in_place():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(300, 40)) * rng.uniform(0.5, 3.0, size=40) + rng.normal(size=40)
+    model = pca_fit(X, 6)
+    pool = X.copy()
+    centred = pca_fit(pool, 6, overwrite_descriptors=True)
+    assert centred.mean.tobytes() == model.mean.tobytes()
+    assert centred.basis.tobytes() == model.basis.tobytes()
+    assert pool.tobytes() == (X - model.mean).tobytes()
+    assert (pool @ model.basis).tobytes() == pca_apply(model, X).tobytes()
+    # a fit that may not overwrite leaves its input alone
+    before = X.copy()
+    pca_fit(X, 6)
+    assert X.tobytes() == before.tobytes()
 
 
 def test_pca_apply_checks_dimension():

@@ -137,3 +137,45 @@ def test_any_finite_or_minus_infinite_array_round_trips_bit_for_bit(tmp_path_fac
         assert got[name].dtype == np.float64
         assert got[name].shape == arr.shape
         assert got[name].tobytes() == arr.tobytes()
+
+
+def _old_write_model(path, kind, meta, arrays):
+    # the writer before rows were formatted as Python floats: one numpy
+    # scalar per value
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"fusedet-model 1 {kind}\n")
+        for key, value in meta.items():
+            fh.write(f"meta {key} {value}\n")
+        for name, arr in arrays.items():
+            a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+            fh.write(f"array {name} {a.shape[0]} {a.shape[1]}\n")
+            for row in a:
+                fh.write(" ".join(fmt_float(v) for v in row) + "\n")
+        fh.write("end\n")
+
+
+def _same_text(tmp_path, arrays):
+    write_model(tmp_path / "new.txt", "pca", {"dim": "3"}, arrays)
+    _old_write_model(tmp_path / "old.txt", "pca", {"dim": "3"}, arrays)
+    return (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def test_writer_text_matches_the_per_scalar_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+    arrays = {
+        "special": np.array(special),
+        "normal": rng.normal(size=(40, 64)),
+        "wide": rng.normal(size=(3, 50)) * 10.0 ** rng.integers(-320, 308, size=(3, 50)),
+        "bits": rng.integers(0, 2**64, size=(20, 50), dtype=np.uint64).view(np.float64),
+        "ints": np.arange(-5, 5).reshape(2, 5),
+        "float32": rng.normal(size=(2, 7)).astype(np.float32),
+        "empty": np.zeros((0, 3)),
+    }
+    assert _same_text(tmp_path, arrays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arr=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6)))
+def test_any_array_is_written_as_the_per_scalar_writer_wrote_it(tmp_path_factory, arr):
+    assert _same_text(tmp_path_factory.mktemp("model"), {"x": arr})

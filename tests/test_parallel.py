@@ -276,6 +276,27 @@ def test_the_first_bad_line_of_a_cnn_text_fails_the_same_under_one_worker_and_tw
     assert messages == [f"{p}:{expected}"] * 2
 
 
+def test_the_cli_writes_the_same_bytes_under_one_blas_thread_and_two(tmp_path):
+    # the codebook fit and train-fusion's scores run OpenBLAS products in the
+    # calling process, whose sums split over its threads; on a machine with
+    # one CPU, OpenBLAS runs one thread under both settings
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        argv = ["all", "--out-dir", str(out), "--train-images", "24", "--test-images", "8"]
+        done = subprocess.run(
+            [sys.executable, "-m", "fusedet.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        runs[threads] = done.stdout.replace(str(out), "<out>"), files
+    (stdout1, files1), (stdout2, files2) = runs["1"], runs["2"]
+    assert stdout1 == stdout2
+    assert sorted(files1) == sorted(files2)
+    assert [name for name in files1 if files1[name] != files2[name]] == []
+
+
 # ----------------------------------------------------- errors do not change
 
 
