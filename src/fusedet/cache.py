@@ -7,7 +7,8 @@ identical bytes. np.load reads these files directly, and nothing in them is
 pickled. A file is written under a temporary name in its own directory and
 then renamed over the target, so an interrupted write never leaves a
 truncated archive behind. Each member is streamed into the archive as it
-is serialized, so a write holds no second copy of any array.
+is serialized, so a write never holds the whole archive in memory;
+np.lib.format.write_array copies each member in chunks of up to 16 MiB.
 
 `file_sha256` is the digest that parsed copies of text files are keyed by:
 the features archive stores the digest of each CNN text imported into it,

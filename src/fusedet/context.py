@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import compress
 from typing import List, Sequence, Set
 
 import numpy as np
@@ -125,10 +126,9 @@ def filter_detections(
     if presence.shape != thresholds.shape:
         raise ValueError("presence and thresholds must have the same length")
     n = presence.shape[0]
-    out = []
-    for det in detections:
-        if not 0 <= det.category_id < n:
-            raise ValueError(f"detection category {det.category_id} outside [0, {n})")
-        if presence[det.category_id] >= thresholds[det.category_id]:
-            out.append(det)
-    return out
+    cats = [det.category_id for det in detections]
+    if cats and not (0 <= min(cats) and max(cats) < n):
+        cid = next(c for c in cats if not 0 <= c < n)
+        raise ValueError(f"detection category {cid} outside [0, {n})")
+    passes = (presence >= thresholds)[np.array(cats, dtype=np.intp)]
+    return list(compress(detections, passes.tolist()))

@@ -12,7 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import modelio
+
+# nms compares this many sorted rows with the later rows at a time, so an
+# image of thousands of boxes never holds its whole pairwise IoU matrix
+NMS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,13 @@ class GroundTruth:
             raise ValueError(f"category_id must be non-negative, got {self.category_id}")
 
 
+def box_corners(boxes: Sequence[Box]) -> np.ndarray:
+    """(len(boxes), 4) float64 array of x_min, y_min, x_max, y_max rows."""
+    return np.array(
+        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes.
 
@@ -96,16 +109,36 @@ def nms(detections: Sequence[Detection], iou_threshold: float) -> List[Detection
     every remaining detection overlapping it with IoU > iou_threshold.
     Ties are broken by (score desc, x_min asc, y_min asc) so runs are
     bit-reproducible. Output is sorted by that same key.
+
+    The boxes are compared as arrays, NMS_BLOCK sorted rows against every
+    later row at a time, with `iou`'s operations in `iou`'s order, so each
+    decision is the one the pairwise loop would make.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    remaining = sorted(detections, key=detection_sort_key)
-    kept: List[Detection] = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        remaining = [d for d in remaining if iou(best.box, d.box) <= iou_threshold]
-    return kept
+    n = len(detections)
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    corners = box_corners([d.box for d in detections])
+    # lexsort is stable and its last key leads: the order of detection_sort_key
+    order = np.lexsort((corners[:, 1], corners[:, 0], -scores))
+    x0, y0, x1, y1 = corners[order].T
+    alive = np.ones(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        area = (x1 - x0) * (y1 - y0)
+        for lo in range(0, n, NMS_BLOCK):
+            rows = lo + np.flatnonzero(alive[lo : lo + NMS_BLOCK])
+            if not rows.size:
+                continue
+            ix = np.minimum(x1[rows, None], x1[lo:]) - np.maximum(x0[rows, None], x0[lo:])
+            iy = np.minimum(y1[rows, None], y1[lo:]) - np.maximum(y0[rows, None], y0[lo:])
+            inter = ix * iy
+            ratio = inter / ((area[rows, None] + area[lo:]) - inter)
+            # iou's zero for boxes that only touch, and its `<=` (a NaN ratio drops)
+            spared = (ix <= 0.0) | (iy <= 0.0) | (ratio <= iou_threshold)
+            for k, r in enumerate(rows.tolist()):
+                if alive[r]:
+                    alive[r + 1 :] &= spared[k, r + 1 - lo :]
+    return [detections[i] for i in order[alive].tolist()]
 
 
 def clip_box(b: Box, width: float, height: float) -> Box:

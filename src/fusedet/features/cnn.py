@@ -49,7 +49,8 @@ def _vector(line: str, width: int, path, lineno: int) -> Tuple[Tuple[str, int], 
     try:
         if not modelio.is_plain(rest):
             raise ValueError
-        vector = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+        # numpy reads each str token with Python's float()
+        vector = np.array(rest.split(), dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed feature value") from None
     if not np.all(np.isfinite(vector)):

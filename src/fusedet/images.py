@@ -6,11 +6,10 @@ drawing) the pipeline shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import Box
+from .core import Box, box_corners
 
 
 @dataclass(frozen=True)
@@ -153,13 +152,6 @@ def smooth(plane: np.ndarray, sigma: float) -> np.ndarray:
     for i, kv in enumerate(k):
         out += kv * padded[:, i : i + plane.shape[1]]
     return out
-
-
-def box_corners(boxes: Sequence[Box]) -> np.ndarray:
-    """(len(boxes), 4) float64 array of x_min, y_min, x_max, y_max rows."""
-    return np.array(
-        [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64
-    ).reshape(-1, 4)
 
 
 def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int) -> np.ndarray:

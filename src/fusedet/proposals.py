@@ -61,17 +61,44 @@ class Regions:
 
 
 def _pixel_edges(width: int, height: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoint index arrays for the 8-connected pixel graph."""
+    """Endpoint index arrays for the 8-connected pixel graph: right, down,
+    down-right, down-left."""
     idx = np.arange(width * height, dtype=np.int64).reshape(height, width)
-    pairs = []
-    # right, down, down-right, down-left
-    pairs.append((idx[:, :-1], idx[:, 1:]))
-    pairs.append((idx[:-1, :], idx[1:, :]))
-    pairs.append((idx[:-1, :-1], idx[1:, 1:]))
-    pairs.append((idx[:-1, 1:], idx[1:, :-1]))
-    a = np.concatenate([p[0].ravel() for p in pairs])
-    b = np.concatenate([p[1].ravel() for p in pairs])
+    a = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel(), idx[:-1, :-1].ravel(), idx[:-1, 1:].ravel()])
+    b = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel(), idx[1:, 1:].ravel(), idx[1:, :-1].ravel()])
     return a, b
+
+
+def _edge_weights(smoothed: np.ndarray) -> np.ndarray:
+    """Euclidean color distance along every edge of _pixel_edges, in its
+    order, from shifted slices of the (height, width, channels) image."""
+    diffs = [
+        smoothed[:, :-1] - smoothed[:, 1:],  # right
+        smoothed[:-1, :] - smoothed[1:, :],  # down
+        smoothed[:-1, :-1] - smoothed[1:, 1:],  # down-right
+        smoothed[:-1, 1:] - smoothed[1:, :-1],  # down-left
+    ]
+    d = np.concatenate([x.reshape(-1, smoothed.shape[2]) for x in diffs])
+    return np.sqrt((d**2).sum(axis=1))
+
+
+def _stable_order(weights: np.ndarray) -> np.ndarray:
+    """np.argsort(weights, kind="stable") of non-negative weights, faster:
+    the zero weights (flat areas) first in index order, then an unstable
+    argsort of the rest with each run of equal weights put back in index
+    order."""
+    zero = weights == 0.0
+    rest = np.flatnonzero(~zero)
+    order = rest[np.argsort(weights[rest])]
+    w = weights[order]
+    tie = w[1:] == w[:-1]
+    if tie.any():
+        # one key run * n + edge per tied position sorts runs in place
+        n = len(weights)
+        run = np.concatenate([[0], np.cumsum(~tie)])
+        tied = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
+        order[tied] = np.sort(run[tied] * n + order[tied]) % n
+    return np.concatenate([np.flatnonzero(zero), order])
 
 
 def _flatten(parent: List[int]) -> np.ndarray:
@@ -102,10 +129,9 @@ def segment_graph(img: Image, k: float, min_size: int, sigma: float) -> Segmenta
         [smooth(img.pixels[:, :, c].astype(np.float64), sigma) for c in range(img.channels)],
         axis=-1,
     )
-    flat = smoothed.reshape(-1, img.channels)
     ea, eb = _pixel_edges(img.width, img.height)
-    weights = np.sqrt(((flat[ea] - flat[eb]) ** 2).sum(axis=1))
-    order = np.argsort(weights, kind="stable")
+    weights = _edge_weights(smoothed)
+    order = _stable_order(weights)
     ea, eb, weights = ea[order], eb[order], weights[order]
 
     # pass 1: Kruskal sweep over plain lists with the find inlined, so no

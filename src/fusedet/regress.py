@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import modelio
-from .core import Box, Detection, GroundTruth, clip_box, iou
+from .core import Box, Detection, GroundTruth, box_corners, clip_box, iou
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,64 @@ def train_bbox_regressor(
     return BoxRegressor(dim=dim, coefficients=coefficients)
 
 
+def _refine_one(
+    det: Detection, x: np.ndarray, regressor: BoxRegressor, image_width: int, image_height: int
+) -> Detection:
+    """One detection refined through the object forms; raises what they raise."""
+    t = regressor.predict(det.category_id, x)
+    if t is None:
+        return det
+    refined = clip_box(apply_targets(det.box, t), image_width, image_height)
+    return Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=refined)
+
+
+# math.exp overflows a little above 709.78; a row with a larger log size
+# ratio takes the object path, which raises its OverflowError
+_EXP_SAFE = 709.0
+
+
+def _predict_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (P, 4) targets `predict` gives each row of X, bit for bit: one
+    matrix-vector product per row, stacked. A single (P, d+1) @ (d+1, 4)
+    product would round differently."""
+    P, d = X.shape
+    Xa = np.empty((P, d + 1))  # each row is np.append(x, 1.0)
+    Xa[:, :d] = X
+    Xa[:, d] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows take the object path
+        return (coef @ Xa[:, :, None])[:, :, 0]
+
+
+def _refine_rows(
+    corners: np.ndarray, X: np.ndarray, coef: np.ndarray, image_width: int, image_height: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The refined, clipped corners of boxes of one trained category, and
+    whether each row is clean: its targets finite, its box non-empty before
+    and after the clip. Each step repeats `predict`, `apply_targets` and
+    `clip_box` on arrays, operation by operation, so a clean row has their
+    bits; the values of other rows are meaningless."""
+    t = _predict_rows(coef, X)
+    clean = np.isfinite(t).all(axis=1) & (t[:, 2] <= _EXP_SAFE) & (t[:, 3] <= _EXP_SAFE)
+    t[~clean] = 0.0
+    x0, y0, x1, y1 = corners.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        width, height = x1 - x0, y1 - y0
+        cx = width * t[:, 0] + 0.5 * (x0 + x1)
+        cy = height * t[:, 1] + 0.5 * (y0 + y1)
+        # np.exp may differ from math.exp in the last bit
+        w = width * np.array([math.exp(v) for v in t[:, 2].tolist()])
+        h = height * np.array([math.exp(v) for v in t[:, 3].tolist()])
+        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    clean &= (box[0] < box[2]) & (box[1] < box[3])
+    # min(max(v, 0.0), side) as Python picks: the first argument unless the
+    # other is strictly beyond it, so a -0.0 stays -0.0
+    sides = (image_width, image_height, image_width, image_height)
+    floored = [np.where(0.0 > v, 0.0, v) for v in box]
+    clipped = np.stack([np.where(side < v, side, v) for v, side in zip(floored, sides)], axis=1)
+    clean &= (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+    return clipped, clean
+
+
 def refine(
     detections: Sequence[Detection],
     features: np.ndarray,
@@ -164,17 +222,32 @@ def refine(
     """Applies each detection's predicted transform and clips to the image.
 
     features[i] belongs to detections[i]. Untrained categories pass through
-    untouched; clip errors (refined box fully outside the image) propagate.
+    untouched; clip errors (refined box fully outside the image) propagate,
+    the first row's in input order. Each trained category's rows are refined
+    as arrays; a row that would raise goes through the object forms
+    (`predict`, `apply_targets`, `clip_box`), so the error is theirs.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != len(detections):
         raise ValueError("one feature row per detection required")
-    out = []
-    for det, x in zip(detections, X):
-        t = regressor.predict(det.category_id, x)
-        if t is None:
-            out.append(det)
+    by_category: Dict[int, List[int]] = {}
+    for i, det in enumerate(detections):
+        if regressor.is_trained(det.category_id):
+            by_category.setdefault(det.category_id, []).append(i)
+    out = list(detections)
+    unclean: List[int] = []
+    for cid, rows in by_category.items():
+        if X.shape[1] != regressor.dim:  # predict refuses the row
+            unclean.extend(rows)
             continue
-        refined = clip_box(apply_targets(det.box, t), image_width, image_height)
-        out.append(Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=refined))
+        corners = box_corners([detections[i].box for i in rows])
+        clipped, clean = _refine_rows(corners, X[rows], regressor.coefficients[cid], image_width, image_height)
+        for i, ok, box in zip(rows, clean.tolist(), clipped.tolist()):
+            if not ok:
+                unclean.append(i)
+                continue
+            det = out[i]
+            out[i] = Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=Box(*box))
+    for i in sorted(unclean):
+        out[i] = _refine_one(detections[i], X[i], regressor, image_width, image_height)
     return out

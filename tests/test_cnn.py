@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusedet.features.cnn import load_cnn_features, write_cnn_features
+from fusedet import modelio
+from fusedet.features.cnn import _vector, load_cnn_features, write_cnn_features
 
 
 def test_load_two_record_fixture(tmp_path):
@@ -167,3 +168,61 @@ def test_a_malformed_record_anywhere_is_rejected_with_its_line(tmp_path_factory,
     p.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"feat.txt:{at + 1}: "):
         load_cnn_features(p)
+
+
+def _frozen_vector(line, width, path, lineno):
+    """_vector as it read each value with float() in a list comprehension."""
+    parts = line.split(None, 2)
+    if len(parts) < 3:
+        raise ValueError(f"{path}:{lineno}: expected 'image_id proposal_index v1 ...', got {len(parts)} fields")
+    image_id, index, rest = parts
+    if not modelio.is_count(index.removeprefix("-")):
+        raise ValueError(f"{path}:{lineno}: bad proposal index {index!r}")
+    proposal_index = int(index)
+    if proposal_index < 0:
+        raise ValueError(f"{path}:{lineno}: negative proposal index {proposal_index}")
+    try:
+        if not modelio.is_plain(rest):
+            raise ValueError
+        vector = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed feature value") from None
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"{path}:{lineno}: non-finite feature value")
+    if len(vector) != width:
+        raise ValueError(f"{path}:{lineno}: vector has {len(vector)} values, expected {width}")
+    return (image_id, proposal_index), vector
+
+
+def _parsed(line, width):
+    try:
+        key, vector = _vector(line, width, "f.txt", 7)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = (key, vector.tobytes())
+    try:
+        key, vector = _frozen_vector(line, width, "f.txt", 7)
+    except ValueError as exc:
+        return got, str(exc)
+    return got, (key, vector.tobytes())
+
+
+# numbers as repr and as %g writes them, and tokens that are near misses:
+# hex, 'd' exponents, doubled signs, bare exponents, the spellings of nan and
+# inf, underscores and digits of other scripts
+_TOKENS = (
+    st.floats().map(repr)
+    | st.floats(allow_nan=False).map(lambda v: f"{v:g}")
+    | st.integers(-(10**30), 10**30).map(str)
+    | st.sampled_from(["1e", "0x10", "1d5", "--1", "+-1", "nan", "-nan", "NaN", "inf", "-Infinity", "1e400",
+                       "-1e-400", "4.9e-324", ".5", "5.", ".", "+", "e5", "1_0", "\u0661", "1e+", "0.1E-3"])
+    | st.text(alphabet="0123456789.eE+-_xXdinfaINFA", min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=st.lists(_TOKENS, min_size=1, max_size=8), width=st.integers(1, 8))
+def test_a_record_parses_as_float_reads_each_token(tokens, width):
+    got, want = _parsed("img 3 " + " ".join(tokens), width)
+    assert got == want

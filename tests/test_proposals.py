@@ -15,6 +15,9 @@ from fusedet.proposals import (
     TEXTURE_BINS,
     Regions,
     SegmentationMap,
+    _edge_weights,
+    _pixel_edges,
+    _stable_order,
     hierarchical_grouping,
     region_adjacency,
     region_descriptors,
@@ -219,6 +222,48 @@ def test_segment_labels_equal_the_oracle_on_a_synth_image(tmp_path, k, min_size)
     img = read_pnm(manifest.resolved_path(manifest.images[0]))
     assert (img.width, img.height) == (96, 96)
     _assert_segmentation_matches_oracle(img, k, min_size, 0.8)
+
+
+def _gathered_weights_and_order(img, sigma):
+    """Edge weights by gathering both ends' smoothed colors, and their stable
+    argsort: the set-up segment_graph replaced with shifted slices and a
+    faster stable order."""
+    smoothed = np.stack([smooth(img.pixels[:, :, c].astype(np.float64), sigma) for c in range(img.channels)], axis=-1)
+    flat = smoothed.reshape(-1, img.channels)
+    ea, eb = _pixel_edges(img.width, img.height)
+    weights = np.sqrt(((flat[ea] - flat[eb]) ** 2).sum(axis=1))
+    return smoothed, weights, np.argsort(weights, kind="stable")
+
+
+def _assert_set_up_matches_the_gathers(img, sigma):
+    smoothed, weights, order = _gathered_weights_and_order(img, sigma)
+    assert _edge_weights(smoothed).tobytes() == weights.tobytes()
+    assert np.array_equal(_stable_order(weights), order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sliced_weights_and_the_stable_order_equal_the_gathers(data):
+    # constant and two-level images tie almost every weight; 1 x 1 has no edge
+    img = data.draw(_small_images())
+    _assert_set_up_matches_the_gathers(img, data.draw(st.sampled_from([SHARP, 0.8, 2.0])))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.15])
+def test_the_segmentation_set_up_is_exact_on_noisy_and_noise_free_synth_images(tmp_path, noise):
+    manifest = generate_dataset(tmp_path, SynthSpec(n_images=2, image_size=96, noise=noise), seed=5)
+    for im in manifest.images:
+        img = read_pnm(manifest.resolved_path(im))
+        _assert_set_up_matches_the_gathers(img, 0.8)
+        _assert_segmentation_matches_oracle(img, 20.0, 5, 0.8)
+    ties = _gathered_weights_and_order(img, 0.8)[1]
+    assert (len(ties) - len(np.unique(ties)) > len(ties) // 2) == (noise == 0.0)
+
+
+def test_pixel_edges_cover_the_8_connected_graph():
+    a, b = _pixel_edges(5, 3)
+    assert len(a) == len(b) == 3 * 4 + 2 * 5 + 2 * 4 + 2 * 4  # right, down, two diagonals
+    assert len(_pixel_edges(1, 1)[0]) == 0
 
 
 def test_segment_rejects_bad_parameters():
