@@ -96,6 +96,20 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) IoUs of two arrays of x_min, y_min, x_max, y_max
+    rows, with `iou`'s operations in `iou`'s order, so each value has its
+    bits. Boxes that share only an edge have IoU 0."""
+    ax0, ay0, ax1, ay1 = (v[:, None] for v in a.T)
+    bx0, by0, bx1, by1 = b.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+        iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+        inter = ix * iy
+        ratio = inter / (((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)) - inter)
+    return np.where((ix <= 0.0) | (iy <= 0.0), 0.0, ratio)
+
+
 def detection_sort_key(d: Detection):
     # total order: score descending, then top-left corner ascending; shared
     # by nms and the evaluation matcher so both stay bit-reproducible
@@ -110,9 +124,9 @@ def nms(detections: Sequence[Detection], iou_threshold: float) -> List[Detection
     Ties are broken by (score desc, x_min asc, y_min asc) so runs are
     bit-reproducible. Output is sorted by that same key.
 
-    The boxes are compared as arrays, NMS_BLOCK sorted rows against every
-    later row at a time, with `iou`'s operations in `iou`'s order, so each
-    decision is the one the pairwise loop would make.
+    The boxes are compared with `iou_array`, NMS_BLOCK sorted rows against
+    every later row at a time, so each decision is the one the pairwise
+    loop would make.
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -121,42 +135,18 @@ def nms(detections: Sequence[Detection], iou_threshold: float) -> List[Detection
     corners = box_corners([d.box for d in detections])
     # lexsort is stable and its last key leads: the order of detection_sort_key
     order = np.lexsort((corners[:, 1], corners[:, 0], -scores))
-    x0, y0, x1, y1 = corners[order].T
+    corners = corners[order]
     alive = np.ones(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        area = (x1 - x0) * (y1 - y0)
-        for lo in range(0, n, NMS_BLOCK):
-            rows = lo + np.flatnonzero(alive[lo : lo + NMS_BLOCK])
-            if not rows.size:
-                continue
-            ix = np.minimum(x1[rows, None], x1[lo:]) - np.maximum(x0[rows, None], x0[lo:])
-            iy = np.minimum(y1[rows, None], y1[lo:]) - np.maximum(y0[rows, None], y0[lo:])
-            inter = ix * iy
-            ratio = inter / ((area[rows, None] + area[lo:]) - inter)
-            # iou's zero for boxes that only touch, and its `<=` (a NaN ratio drops)
-            spared = (ix <= 0.0) | (iy <= 0.0) | (ratio <= iou_threshold)
-            for k, r in enumerate(rows.tolist()):
-                if alive[r]:
-                    alive[r + 1 :] &= spared[k, r + 1 - lo :]
+    for lo in range(0, n, NMS_BLOCK):
+        rows = lo + np.flatnonzero(alive[lo : lo + NMS_BLOCK])
+        if not rows.size:
+            continue
+        # iou's `<=`: a NaN ratio drops
+        spared = iou_array(corners[rows], corners[lo:]) <= iou_threshold
+        for k, r in enumerate(rows.tolist()):
+            if alive[r]:
+                alive[r + 1 :] &= spared[k, r + 1 - lo :]
     return [detections[i] for i in order[alive].tolist()]
-
-
-def clip_box(b: Box, width: float, height: float) -> Box:
-    """Clamp a box into [0, width] x [0, height].
-
-    Raises ValueError if the clamped box has zero area (box entirely
-    outside the image).
-    """
-    x_min = min(max(b.x_min, 0.0), width)
-    y_min = min(max(b.y_min, 0.0), height)
-    x_max = min(max(b.x_max, 0.0), width)
-    y_max = min(max(b.y_max, 0.0), height)
-    if not (x_min < x_max and y_min < y_max):
-        raise ValueError(
-            f"box ({b.x_min}, {b.y_min}, {b.x_max}, {b.y_max}) lies outside "
-            f"a {width}x{height} image"
-        )
-    return Box(x_min, y_min, x_max, y_max)
 
 
 def format_detection(d: Detection) -> str:

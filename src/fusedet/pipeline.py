@@ -29,7 +29,7 @@ from .context import (
     select_thresholds,
     train_presence_prior,
 )
-from .core import Box, Detection, GroundTruth, iou, nms, read_detections, write_detections
+from .core import Box, Detection, GroundTruth, iou_array, nms, read_detections, write_detections
 from .evaluation import mean_ap, per_class_report, read_report, write_report, categories_won
 from .features import (
     dense_descriptors,
@@ -510,31 +510,38 @@ def _stage_inputs(
 def _label_rows(cfg, data: _StageInputs):
     """Training label per feature row: category id, -1 background, -2 ignored.
 
-    Also returns, per row, the best-IoU ground truth (or None) and the box.
+    Also returns, per row, the best-IoU ground truth (or None; ties go to
+    the first). Each image's rows are matched against its ground truths as
+    one `iou_array`.
     """
     row_image = data.feats["row_image"]
-    boxes = [Box(*c) for c in data.feats["boxes"].tolist()]
-    labels = np.full(len(boxes), -1, dtype=np.int64)
-    best_gts: List[Optional[GroundTruth]] = [None] * len(boxes)
-    for r, box in enumerate(boxes):
-        gts = data.man.images[row_image[r]].ground_truths
-        if not gts:
+    if len(row_image) and row_image.max() >= len(data.man.images):
+        raise MissingArtifact(
+            f"{features_path(data.out_dir, data.tag)}: rows of images the manifest does not list; rerun 'extract'"
+        )
+    corners = data.feats["boxes"]
+    labels = np.full(len(corners), -1, dtype=np.int64)
+    best_gts: List[Optional[GroundTruth]] = [None] * len(corners)
+    for i, im in enumerate(data.man.images):
+        rows = np.flatnonzero(row_image == i)
+        gts = im.ground_truths
+        if not gts or not len(rows):
             continue
-        ious = [iou(box, gt.box) for gt in gts]
-        j = int(np.argmax(ious))
-        best_gts[r] = gts[j]
-        if ious[j] >= cfg.train_pos_iou:
-            labels[r] = gts[j].category_id
-        elif ious[j] >= cfg.train_neg_iou:
-            labels[r] = -2
-    return labels, best_gts, boxes
+        ious = iou_array(corners[rows], box_corners([gt.box for gt in gts]))
+        best = np.argmax(ious, axis=1)
+        top = ious[np.arange(len(rows)), best]
+        cats = np.array([gt.category_id for gt in gts])[best]
+        labels[rows] = np.where(top >= cfg.train_pos_iou, cats, np.where(top >= cfg.train_neg_iou, -2, -1))
+        for r, j in zip(rows.tolist(), best.tolist()):
+            best_gts[r] = gts[j]
+    return labels, best_gts
 
 
 def stage_train_svm(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None):
     data = _stage_inputs(manifest_path, out_dir, tag)
     man = data.man
     n_cat = man.n_categories
-    labels, _, _ = _label_rows(cfg, data)
+    labels, _ = _label_rows(cfg, data)
     background = np.nonzero(labels == -1)[0]
     positives = [np.nonzero(labels == cid)[0] for cid in range(n_cat)]
     for cid, pos in enumerate(positives):
@@ -617,7 +624,7 @@ def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, LinearBank]) 
 
 def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     data = _stage_inputs(manifest_path, out_dir, tag)
-    labels, _, _ = _label_rows(cfg, data)
+    labels, _ = _label_rows(cfg, data)
     fused = _bank_scores(data.channels, _load_banks(data))
     keep = labels != -2
     fusion = train_fusion(
@@ -636,13 +643,13 @@ def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optiona
 
 def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     data = _stage_inputs(manifest_path, out_dir, tag)
-    _, best_gts, boxes_per_row = _label_rows(cfg, data)
+    _, best_gts = _label_rows(cfg, data)
 
     rows = [r for r, gt in enumerate(best_gts) if gt is not None]
     X = data.channels[cfg.regress_channel][rows]
     regressor = train_bbox_regressor(
         X,
-        [boxes_per_row[r] for r in rows],
+        [Box(*c) for c in data.feats["boxes"][rows].tolist()],
         [best_gts[r] for r in rows],
         cfg.regress_lambda,
         cfg.regress_match_iou,
@@ -726,11 +733,13 @@ def stage_detect(
     prior = _load_bank(prior_path(out_dir), "train-prior", data.prior.shape[1], n_cat)
 
     results: List[Detection] = []
+    counts = dict.fromkeys(("refine_kept_proposal", "refine_clipped", "nms_in", "nms_out"), 0)
+    removed = [0] * n_cat
     for i, im in enumerate(man.images):
         rows = np.nonzero(data.feats["row_image"] == i)[0]
         if len(rows) == 0:
             continue
-        boxes = [Box(*c) for c in data.feats["boxes"][rows].tolist()]
+        corners = data.feats["boxes"][rows]
         img = read_pnm(man.resolved_path(im))
         per_channel = {ch: data.channels[ch][rows] for ch in CHANNELS}
         if channel == "fused":
@@ -741,19 +750,25 @@ def stage_detect(
         X_reg = per_channel[cfg.regress_channel].astype(np.float64)
         presence = presence_scores(data.prior[i], prior)
         for cid in range(n_cat):
+            refined, unplaced, clipped = refine(corners, X_reg, regressor, cid, img.width, img.height)
             dets = [
-                Detection(image_id=im.image_id, category_id=cid, score=float(final[p, cid]), box=boxes[p])
-                for p in range(len(boxes))
+                Detection(image_id=im.image_id, category_id=cid, score=score, box=Box(*box))
+                for score, box in zip(final[:, cid].tolist(), refined.tolist())
             ]
-            dets = refine(dets, X_reg, regressor, img.width, img.height)
-            dets = nms(dets, cfg.nms_iou)
-            dets = filter_detections(dets, presence, prior.thresholds)
-            results.extend(dets)
+            survivors = nms(dets, cfg.nms_iou)
+            gated = filter_detections(survivors, presence, prior.thresholds)
+            counts["refine_kept_proposal"] += int(unplaced.sum())
+            counts["refine_clipped"] += int(clipped.sum())
+            counts["nms_in"] += len(dets)
+            counts["nms_out"] += len(survivors)
+            removed[cid] += len(survivors) - len(gated)
+            results.extend(gated)
 
     path = detections_path(out_dir, data.tag, channel)
     with open(path, "w") as fh:
         write_detections(results, fh)
-    _run_log(out_dir, f"detect-{channel}", data.tag, cfg, {"detections": len(results)})
+    gate = {f"gate_removed_{cid}": n for cid, n in enumerate(removed)}
+    _run_log(out_dir, f"detect-{channel}", data.tag, cfg, {"detections": len(results), **counts, **gate})
     return path
 
 

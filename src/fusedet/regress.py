@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import modelio
-from .core import Box, Detection, GroundTruth, box_corners, clip_box, iou
+from .core import Box, GroundTruth, iou
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class BoxRegressor:
             if not np.all(np.isfinite(coef)):
                 raise ValueError(f"category {cid}: non-finite coefficients")
             self.coefficients[cid] = coef
-
-    def is_trained(self, category_id: int) -> bool:
-        return category_id in self.coefficients
-
-    def predict(self, category_id: int, feature: np.ndarray) -> Optional[BoxTargets]:
-        """Predicted transform, or None when the category is untrained."""
-        if category_id not in self.coefficients:
-            return None
-        x = np.asarray(feature, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"feature has shape {x.shape}, expected ({self.dim},)")
-        t = self.coefficients[category_id] @ np.append(x, 1.0)
-        return BoxTargets(tx=float(t[0]), ty=float(t[1]), tw=float(t[2]), th=float(t[3]))
 
     def save(self, path) -> None:
         ids = sorted(self.coefficients)
@@ -154,100 +141,77 @@ def train_bbox_regressor(
     return BoxRegressor(dim=dim, coefficients=coefficients)
 
 
-def _refine_one(
-    det: Detection, x: np.ndarray, regressor: BoxRegressor, image_width: int, image_height: int
-) -> Detection:
-    """One detection refined through the object forms; raises what they raise."""
-    t = regressor.predict(det.category_id, x)
-    if t is None:
-        return det
-    refined = clip_box(apply_targets(det.box, t), image_width, image_height)
-    return Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=refined)
-
-
-# math.exp overflows a little above 709.78; a row with a larger log size
-# ratio takes the object path, which raises its OverflowError
-_EXP_SAFE = 709.0
-
-
 def _predict_rows(coef: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The (P, 4) targets `predict` gives each row of X, bit for bit: one
-    matrix-vector product per row, stacked. A single (P, d+1) @ (d+1, 4)
+    """The (P, 4) targets of each row of X: one matrix-vector product
+    `coef @ append(x, 1.0)` per row, stacked. A single (P, d+1) @ (d+1, 4)
     product would round differently."""
     P, d = X.shape
-    Xa = np.empty((P, d + 1))  # each row is np.append(x, 1.0)
+    Xa = np.empty((P, d + 1))
     Xa[:, :d] = X
     Xa[:, d] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows take the object path
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows keep their proposal
         return (coef @ Xa[:, :, None])[:, :, 0]
 
 
-def _refine_rows(
-    corners: np.ndarray, X: np.ndarray, coef: np.ndarray, image_width: int, image_height: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The refined, clipped corners of boxes of one trained category, and
-    whether each row is clean: its targets finite, its box non-empty before
-    and after the clip. Each step repeats `predict`, `apply_targets` and
-    `clip_box` on arrays, operation by operation, so a clean row has their
-    bits; the values of other rows are meaningless."""
+def _exp(v: float) -> float:
+    """math.exp(v), whose bits np.exp may miss in the last place; NaN where
+    it overflows, so the row's box is empty and keeps its proposal."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.nan
+
+
+def refine(
+    corners: np.ndarray,
+    features: np.ndarray,
+    regressor: BoxRegressor,
+    category_id: int,
+    image_width: int,
+    image_height: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One category's proposal boxes moved by their predicted transforms
+    and clipped to the image.
+
+    corners is a (P, 4) array of x_min, y_min, x_max, y_max rows and
+    features[i] belongs to corners[i]. Returns the refined corners, a mask
+    of the rows that kept their proposal box and a mask of the rows the
+    clip changed. A row keeps its proposal when the regressor cannot place
+    it: its targets are not finite, `math.exp` overflows, or its box is
+    empty before or after the clip. An untrained category keeps every box
+    as it is and counts no row in either mask.
+
+    Each step is `apply_targets` and a clamp into [0, width] x [0, height]
+    on arrays, operation by operation, so a placed row has their bits. The
+    clamp picks as Python's `min(max(v, 0.0), side)` does, which keeps a
+    -0.0 edge.
+    """
+    corners = np.asarray(corners, dtype=np.float64)
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != len(corners):
+        raise ValueError("one feature row per detection required")
+    none = np.zeros(len(corners), dtype=bool)
+    coef = regressor.coefficients.get(category_id)
+    if coef is None:
+        return corners, none, none
+    if X.shape[1] != regressor.dim:
+        raise ValueError(f"feature has shape ({X.shape[1]},), expected ({regressor.dim},)")
     t = _predict_rows(coef, X)
-    clean = np.isfinite(t).all(axis=1) & (t[:, 2] <= _EXP_SAFE) & (t[:, 3] <= _EXP_SAFE)
-    t[~clean] = 0.0
     x0, y0, x1, y1 = corners.T
     with np.errstate(over="ignore", invalid="ignore"):
         width, height = x1 - x0, y1 - y0
         cx = width * t[:, 0] + 0.5 * (x0 + x1)
         cy = height * t[:, 1] + 0.5 * (y0 + y1)
-        # np.exp may differ from math.exp in the last bit
-        w = width * np.array([math.exp(v) for v in t[:, 2].tolist()])
-        h = height * np.array([math.exp(v) for v in t[:, 3].tolist()])
-        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-    clean &= (box[0] < box[2]) & (box[1] < box[3])
-    # min(max(v, 0.0), side) as Python picks: the first argument unless the
-    # other is strictly beyond it, so a -0.0 stays -0.0
-    sides = (image_width, image_height, image_width, image_height)
-    floored = [np.where(0.0 > v, 0.0, v) for v in box]
-    clipped = np.stack([np.where(side < v, side, v) for v, side in zip(floored, sides)], axis=1)
-    clean &= (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
-    return clipped, clean
-
-
-def refine(
-    detections: Sequence[Detection],
-    features: np.ndarray,
-    regressor: BoxRegressor,
-    image_width: int,
-    image_height: int,
-) -> List[Detection]:
-    """Applies each detection's predicted transform and clips to the image.
-
-    features[i] belongs to detections[i]. Untrained categories pass through
-    untouched; clip errors (refined box fully outside the image) propagate,
-    the first row's in input order. Each trained category's rows are refined
-    as arrays; a row that would raise goes through the object forms
-    (`predict`, `apply_targets`, `clip_box`), so the error is theirs.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(detections):
-        raise ValueError("one feature row per detection required")
-    by_category: Dict[int, List[int]] = {}
-    for i, det in enumerate(detections):
-        if regressor.is_trained(det.category_id):
-            by_category.setdefault(det.category_id, []).append(i)
-    out = list(detections)
-    unclean: List[int] = []
-    for cid, rows in by_category.items():
-        if X.shape[1] != regressor.dim:  # predict refuses the row
-            unclean.extend(rows)
-            continue
-        corners = box_corners([detections[i].box for i in rows])
-        clipped, clean = _refine_rows(corners, X[rows], regressor.coefficients[cid], image_width, image_height)
-        for i, ok, box in zip(rows, clean.tolist(), clipped.tolist()):
-            if not ok:
-                unclean.append(i)
-                continue
-            det = out[i]
-            out[i] = Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=Box(*box))
-    for i in sorted(unclean):
-        out[i] = _refine_one(detections[i], X[i], regressor, image_width, image_height)
-    return out
+        w = width * np.array([_exp(v) for v in t[:, 2].tolist()])
+        h = height * np.array([_exp(v) for v in t[:, 3].tolist()])
+        box = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    sides = np.array([image_width, image_height, image_width, image_height], dtype=np.float64)
+    floored = np.where(0.0 > box, 0.0, box)
+    clipped = np.where(sides < floored, sides, floored)
+    placed = (
+        np.isfinite(t).all(axis=1)
+        & (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
+        & (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
+    )
+    changed = ((0.0 > box) | (sides < box)).any(axis=1)
+    return np.where(placed[:, None], clipped, corners), ~placed, placed & changed

@@ -12,14 +12,16 @@ from fusedet.core import (
     Box,
     Detection,
     GroundTruth,
-    clip_box,
+    box_corners,
     format_detection,
     iou,
+    iou_array,
     nms,
     parse_detection_line,
     read_detections,
     write_detections,
 )
+from fusedet.regress import BoxRegressor, refine
 
 
 def _random_box(rng, span=20):
@@ -95,6 +97,33 @@ def test_iou_symmetric_and_bounded():
     assert iou(Box(1.5, 2.5, 3.25, 7.0), Box(1.5, 2.5, 3.25, 7.0)) == 1.0
 
 
+# half-unit corners, so boxes share edges, coincide and meet exactly
+_HALVES = st.integers(-4, 24).map(lambda v: v / 2)
+
+
+@st.composite
+def _any_box(draw):
+    if draw(st.booleans()):
+        x, y = draw(_HALVES), draw(_HALVES)
+        return Box(x, y, x + draw(st.integers(1, 12)) / 2, y + draw(st.integers(1, 12)) / 2)
+    x, y = draw(st.floats(-5, 15)), draw(st.floats(-5, 15))
+    return Box(x, y, x + draw(st.floats(0.01, 10)), y + draw(st.floats(0.01, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(_any_box(), max_size=6), b=st.lists(_any_box(), max_size=6))
+def test_iou_array_has_the_bits_of_iou(a, b):
+    got = iou_array(box_corners(a), box_corners(b))
+    want = np.array([[iou(p, q) for q in b] for p in a]).reshape(len(a), len(b))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_iou_array_of_touching_and_equal_boxes():
+    a = np.array([[0.0, 0.0, 5.0, 5.0]])
+    b = np.array([[5.0, 0.0, 10.0, 5.0], [0.0, 5.0, 5.0, 10.0], [0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 10.0, 5.0]])
+    assert iou_array(a, b).tolist() == [[0.0, 0.0, 1.0, 0.5]]
+
+
 def _oracle_nms(detections, threshold):
     # independent greedy formulation: explicit max scan instead of sorting
     pool = list(detections)
@@ -168,18 +197,22 @@ def test_nms_output_is_antichain_and_idempotent():
         assert nms(kept, 0.3) == kept
 
 
+# the clip into the image is the last step of regress.refine
+def _clip(box, side):
+    """refine's clip of box into a side x side image, by a regressor that
+    leaves every box where it is: the corners, and whether the clip changed them."""
+    reg = BoxRegressor(dim=1, coefficients={0: np.zeros((4, 2))})
+    out, kept, clipped = refine(box_corners([box]), np.zeros((1, 1)), reg, 0, side, side)
+    assert not kept[0]
+    return out[0].tolist(), bool(clipped[0])
+
+
 def test_clip_box_clamps_at_origin():
-    assert clip_box(Box(-5, -5, 5, 5), 100, 100) == Box(0, 0, 5, 5)
+    assert _clip(Box(-5, -5, 5, 5), 100) == ([0.0, 0.0, 5.0, 5.0], True)
 
 
 def test_clip_box_inside_is_unchanged():
-    b = Box(0, 0, 10, 10)
-    assert clip_box(b, 100, 100) == b
-
-
-def test_clip_box_fully_outside_errors():
-    with pytest.raises(ValueError):
-        clip_box(Box(150, 150, 160, 160), 100, 100)
+    assert _clip(Box(0, 0, 10, 10), 100) == ([0.0, 0.0, 10.0, 10.0], False)
 
 
 def test_detection_dump_round_trip():

@@ -3,12 +3,16 @@
 `core.nms`, `regress.refine` and `context.filter_detections` work on arrays
 inside. Each is checked here against a frozen copy of the object loop it
 replaced: the same detections in the same order (untouched ones as the same
-objects), the same coordinate bits down to the sign of a zero, and the same
-error for the same first bad row. detect still calls the three once per
-(image, category) through their `fusedet.pipeline` names, which the
-benchmark's tracer counts.
+objects) and the same coordinate bits down to the sign of a zero. NMS and
+the gate also raise the loop's error for the same first bad input. Where
+the refine loop raised for a row (non-finite targets, an overflowing
+`math.exp`, a box empty before or after the clip), refine keeps that row's
+proposal box instead. detect still calls the three once per (image,
+category) through their `fusedet.pipeline` names, which the benchmark's
+tracer counts, and its run log counts what they did.
 """
 
+import dataclasses
 import math
 import shutil
 
@@ -19,9 +23,10 @@ from hypothesis import strategies as st
 
 from fusedet import core, pipeline
 from fusedet.cache import load_arrays
+from fusedet.classify import LinearBank
 from fusedet.config import PipelineConfig
 from fusedet.context import filter_detections, presence_scores
-from fusedet.core import Box, Detection, detection_sort_key, format_detection, nms
+from fusedet.core import Box, Detection, box_corners, detection_sort_key, format_detection, nms
 from fusedet.images import read_pnm
 from fusedet.manifest import read_manifest
 from fusedet.regress import BoxRegressor, BoxTargets, _predict_rows, refine
@@ -83,19 +88,37 @@ def _frozen_clip_box(b, width, height):
     return Box(x_min, y_min, x_max, y_max)
 
 
-def _frozen_refine(detections, features, regressor, image_width, image_height):
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(detections):
-        raise ValueError("one feature row per detection required")
-    out = []
-    for det, x in zip(detections, X):
-        t = _frozen_predict(regressor, det.category_id, x)
+def _fallback_row(corners, x, regressor, category_id, image_width, image_height):
+    """One row by the frozen object forms: its corners, whether it kept its
+    proposal (where the forms raise) and whether the clip changed its box."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # predict's product may overflow
+            t = _frozen_predict(regressor, category_id, x)
         if t is None:
-            out.append(det)
-            continue
-        refined = _frozen_clip_box(_frozen_apply_targets(det.box, t), image_width, image_height)
-        out.append(Detection(image_id=det.image_id, category_id=det.category_id, score=det.score, box=refined))
-    return out
+            return corners, False, False
+        moved = _frozen_apply_targets(Box(*corners), t)
+        box = _frozen_clip_box(moved, image_width, image_height)
+    except OverflowError:
+        return corners, True, False
+    except ValueError as exc:
+        if str(exc).startswith("feature has shape"):
+            raise
+        return corners, True, False
+    refined = [box.x_min, box.y_min, box.x_max, box.y_max]
+    return refined, False, refined != [moved.x_min, moved.y_min, moved.x_max, moved.y_max]
+
+
+def _fallback_refine(corners, features, regressor, category_id, image_width, image_height):
+    """What refine must return, row by row through `_fallback_row`."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != len(corners):
+        raise ValueError("one feature row per detection required")
+    rows = [
+        _fallback_row(c, x, regressor, category_id, image_width, image_height)
+        for c, x in zip(np.asarray(corners).tolist(), X)
+    ]
+    out = np.array([r[0] for r in rows], dtype=np.float64).reshape(-1, 4)
+    return out, np.array([r[1] for r in rows], dtype=bool), np.array([r[2] for r in rows], dtype=bool)
 
 
 def _frozen_filter(detections, presence, thresholds):
@@ -215,27 +238,34 @@ def _regressor(rng, dim, trained, scale):
     return BoxRegressor(dim=dim, coefficients={cid: rng.normal(size=(4, dim + 1)) * scale for cid in trained})
 
 
+def _result(fn, *args):
+    """refine's or the oracle's corners by bits, and its two masks."""
+    out, kept, clipped = fn(*args)
+    return out.tobytes(), kept.tolist(), clipped.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    dets=_detections(max_size=10, categories=(0, 1, 2, 3)),
+    boxes=st.lists(_boxes(), max_size=10),
+    category=st.sampled_from([0, 1, 2, 3]),
     trained=st.sets(st.sampled_from([0, 1, 2])),
     dim=st.integers(1, 5),
-    scale=st.sampled_from([0.01, 0.3, 3.0]),
+    scale=st.sampled_from([0.01, 0.3, 3.0, 300.0]),
     size=st.sampled_from([(12, 12), (20, 16), (7, 30)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_refine_gives_the_object_loops_bits_and_first_error(dets, trained, dim, scale, size, seed):
+def test_refine_gives_the_object_loops_bits_or_keeps_the_proposal(boxes, category, trained, dim, scale, size, seed):
     rng = np.random.default_rng(seed)
     reg = _regressor(rng, dim, trained, scale)
-    X = rng.normal(size=(len(dets), dim))
-    got, want = _outcome(refine, dets, X, reg, *size), _outcome(_frozen_refine, dets, X, reg, *size)
-    assert got == want
-    if got[0] == "returned":  # untrained categories pass through as the same objects
-        assert got[2] == [i if d.category_id not in trained else None for i, d in enumerate(dets)]
+    X = rng.normal(size=(len(boxes), dim))
+    corners = box_corners(boxes)
+    got = _result(refine, corners, X, reg, category, *size)
+    assert got == _result(_fallback_refine, corners, X, reg, category, *size)
+    if category not in trained:  # untrained categories pass through
+        assert got == (corners.tobytes(), [False] * len(boxes), [False] * len(boxes))
 
 
-def _one(box=Box(2.0, 2.0, 6.0, 6.0), cid=0):
-    return Detection("a", box, cid, 0.5)
+_BOX = Box(2.0, 2.0, 6.0, 6.0)
 
 
 @pytest.mark.parametrize(
@@ -254,35 +284,49 @@ def test_refine_edge_rows_match_the_object_loop(bias, why):
     coef = np.zeros((4, 2))
     coef[:, 1] = bias
     reg = BoxRegressor(dim=1, coefficients={0: coef})
-    dets = [_one(Box(0.0, 0.0, 4.0, 4.0)), _one(), _one(cid=1)]
-    X = np.zeros((3, 1))
-    assert _outcome(refine, dets, X, reg, 10, 10) == _outcome(_frozen_refine, dets, X, reg, 10, 10), why
+    corners = box_corners([Box(0.0, 0.0, 4.0, 4.0), _BOX])
+    X = np.zeros((2, 1))
+    got = _result(refine, corners, X, reg, 0, 10, 10)
+    assert got == _result(_fallback_refine, corners, X, reg, 0, 10, 10), why
+    unplaceable = why in ("math.exp overflows", "zero width before the clip", "centre overflows", "outside the image")
+    assert got[1] == [unplaceable] * 2 and got[2] == [not unplaceable] * 2
 
 
-def test_refine_raises_the_first_bad_rows_error_in_input_order():
+def test_refine_keeps_the_proposals_of_the_rows_the_loop_refuses():
     shift_x = np.zeros((4, 2))
     shift_x[0, 0] = 9.0  # tx = 9 * feature
-    reg = BoxRegressor(dim=1, coefficients={0: np.zeros((4, 2)), 1: shift_x})
-    dets = [_one(cid=0), _one(Box(1.0, 1.0, 2.0, 2.0), cid=1), _one(Box(3.0, 3.0, 4.0, 4.0), cid=1)]
-    X = np.array([[1.0], [50.0], [90.0]])
+    reg = BoxRegressor(dim=1, coefficients={1: shift_x})
+    corners = box_corners([Box(1.0, 1.0, 2.0, 2.0), _BOX, Box(3.0, 3.0, 4.0, 4.0)])
+    X = np.array([[50.0], [0.0], [90.0]])
+    # the object forms refuse the first row
+    t = _frozen_predict(reg, 1, X[0])
     with pytest.raises(ValueError, match=r"^box \(451\.0, 1\.0, 452\.0, 2\.0\) lies outside a 20x20 image$"):
-        refine(dets, X, reg, 20, 20)
-    assert _outcome(refine, dets, X, reg, 20, 20) == _outcome(_frozen_refine, dets, X, reg, 20, 20)
+        _frozen_clip_box(_frozen_apply_targets(Box(1.0, 1.0, 2.0, 2.0), t), 20, 20)
+    got = _result(refine, corners, X, reg, 1, 20, 20)
+    assert got == _result(_fallback_refine, corners, X, reg, 1, 20, 20)
+    assert got == (corners.tobytes(), [True, False, True], [False, False, False])
 
 
-def test_refine_non_finite_targets_and_a_width_mismatch_raise_as_before():
-    reg = BoxRegressor(dim=1, coefficients={0: np.array([[1e308, 0.0]] * 4)})
-    dets = [_one(), _one()]
-    X = np.array([[0.0], [10.0]])  # the second row's targets overflow to inf
-    with np.errstate(over="ignore"):  # predict's product warns, then and now
-        got = _outcome(refine, dets, X, reg, 10, 10)
-        assert got == _outcome(_frozen_refine, dets, X, reg, 10, 10)
-    assert got[2].startswith("targets must be finite")
+def test_refine_keeps_non_finite_rows_and_refuses_a_width_mismatch():
+    coef = np.zeros((4, 2))
+    coef[2, 0] = 1e308  # tw = 1e308 * feature
+    reg = BoxRegressor(dim=1, coefficients={0: coef})
+    corners = box_corners([_BOX, _BOX])
+    # the second row's tw overflows to inf; its box would span the image
+    X = np.array([[0.0], [10.0]])
+    with np.errstate(over="ignore"):
+        assert _frozen_predict(reg, 0, X[0]) is not None
+        with pytest.raises(ValueError, match="^targets must be finite"):
+            _frozen_predict(reg, 0, X[1])
+    got = _result(refine, corners, X, reg, 0, 10, 10)
+    assert got == _result(_fallback_refine, corners, X, reg, 0, 10, 10)
+    assert got[1] == [False, True]
     wide = np.zeros((2, 3))
-    assert _outcome(refine, dets, wide, reg, 10, 10) == ("raised", ValueError, "feature has shape (3,), expected (1,)")
-    untrained = [_one(cid=5), _one(cid=6)]
-    assert refine(untrained, wide, reg, 10, 10) == untrained  # no trained row, no width check
-    assert refine([], np.zeros((0, 1)), reg, 10, 10) == []
+    with pytest.raises(ValueError, match=r"^feature has shape \(3,\), expected \(1,\)$"):
+        refine(corners, wide, reg, 0, 10, 10)
+    assert _result(refine, corners, wide, reg, 5, 10, 10) == (corners.tobytes(), [False] * 2, [False] * 2)
+    out, kept, clipped = refine(np.zeros((0, 4)), np.zeros((0, 1)), reg, 0, 10, 10)
+    assert out.shape == (0, 4) and kept.shape == clipped.shape == (0,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,7 +338,7 @@ def test_the_stacked_product_matches_predict_row_by_row(dim, rows, seed):
     coef = rng.normal(size=(4, dim + 1)) * 10.0 ** rng.integers(-3, 4)
     X = rng.normal(size=(rows, dim)).astype(np.float32).astype(np.float64)
     reg = BoxRegressor(dim=dim, coefficients={0: coef})
-    per_row = np.stack([reg.predict(0, x).as_array() for x in X])
+    per_row = np.stack([_frozen_predict(reg, 0, x).as_array() for x in X])
     assert _predict_rows(reg.coefficients[0], X).tobytes() == per_row.tobytes()
 
 
@@ -317,6 +361,10 @@ def test_filter_removes_what_the_object_loop_removes(dets, presence, data):
         thresholds = presence
     got = _outcome(filter_detections, dets, presence, thresholds)
     assert got == _outcome(_frozen_filter, dets, presence, thresholds)
+
+
+def _one(cid):
+    return Detection("a", _BOX, cid, 0.5)
 
 
 def test_filter_names_the_first_out_of_range_category():
@@ -350,17 +398,34 @@ def _record(mp, name, log):
     mp.setattr(pipeline, name, wrapper)
 
 
-def test_detect_calls_refine_nms_and_the_gate_once_per_image_and_category(run, tmp_path, monkeypatch):
+def _copy(run, tmp_path):
     cfg, src = run
     out = tmp_path / "out"
     shutil.copytree(src, out)
-    manifest = out / "data" / "test" / "manifest.txt"
+    return cfg, out, out / "data" / "test" / "manifest.txt"
+
+
+def _detect_logged(run, tmp_path, monkeypatch, thresholds=None):
+    """detect on a copy of the run, with every call of refine, nms and the
+    gate logged, and the gate's thresholds replaced when given: the config,
+    the output directory, the path and the log."""
+    cfg, out, manifest = _copy(run, tmp_path)
+    if thresholds is not None:
+        prior = LinearBank.load(pipeline.prior_path(out))
+        dataclasses.replace(prior, thresholds=np.array(thresholds)).save(pipeline.prior_path(out))
     log = []
     for name in ("refine", "nms", "filter_detections"):
         _record(monkeypatch, name, log)
-    path = pipeline.stage_detect(cfg, manifest, out)
+    return cfg, out, pipeline.stage_detect(cfg, manifest, out), log
 
-    man = read_manifest(manifest)
+
+def _run_log(path):
+    return dict(line.split(" ", 1) for line in path.read_text().splitlines())
+
+
+def test_detect_calls_refine_nms_and_the_gate_once_per_image_and_category(run, tmp_path, monkeypatch):
+    cfg, out, path, log = _detect_logged(run, tmp_path, monkeypatch)
+    man = read_manifest(out / "data" / "test" / "manifest.txt")
     feats = load_arrays(pipeline.features_path(out, "test"))
     prior_rows = feats["prior_" + cfg.prior_feature]
     prior = pipeline._load_bank(pipeline.prior_path(out), "train-prior", prior_rows.shape[1], 3)
@@ -372,13 +437,14 @@ def test_detect_calls_refine_nms_and_the_gate_once_per_image_and_category(run, t
             continue
         img = read_pnm(man.resolved_path(im))
         for cid in range(3):
-            name, (dets, X, _, width, height), refined = next(calls)
-            assert name == "refine" and (width, height) == (img.width, img.height)
-            assert [(d.image_id, d.category_id) for d in dets] == [(im.image_id, cid)] * len(rows)
-            assert [[d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max] for d in dets] == feats["boxes"][rows].tolist()
+            name, (corners, X, _, category, width, height), (refined, _, _) = next(calls)
+            assert name == "refine" and (category, width, height) == (cid, img.width, img.height)
+            assert corners.tobytes() == feats["boxes"][rows].tobytes()
             assert X.tobytes() == feats[cfg.regress_channel][rows].astype(np.float64).tobytes()
             name, (given, thr), kept = next(calls)
-            assert name == "nms" and given is refined and thr == cfg.nms_iou
+            assert name == "nms" and thr == cfg.nms_iou
+            assert [(d.image_id, d.category_id) for d in given] == [(im.image_id, cid)] * len(rows)
+            assert [[d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max] for d in given] == refined.tolist()
             name, (given, presence, thresholds), gated = next(calls)
             assert name == "filter_detections" and given is kept
             assert presence.tobytes() == presence_scores(prior_rows[i], prior).tobytes()
@@ -388,13 +454,54 @@ def test_detect_calls_refine_nms_and_the_gate_once_per_image_and_category(run, t
     assert path.read_text() == "".join(format_detection(d) + "\n" for d in written)
 
 
+@pytest.mark.parametrize("thresholds", [None, [-math.inf, 1e300, -math.inf]], ids=["calibrated", "category 1 shut"])
+def test_detect_run_log_counts_what_refine_nms_and_the_gate_did(run, tmp_path, monkeypatch, thresholds):
+    cfg, out, path, log = _detect_logged(run, tmp_path, monkeypatch, thresholds)
+    want = {"refine_kept_proposal": 0, "refine_clipped": 0, "nms_in": 0, "nms_out": 0}
+    want.update({f"gate_removed_{cid}": 0 for cid in range(3)})
+    for name, args, result in log:
+        if name == "refine":
+            want["refine_kept_proposal"] += int(result[1].sum())
+            want["refine_clipped"] += int(result[2].sum())
+        elif name == "nms":
+            want["nms_in"] += len(args[0])
+            want["nms_out"] += len(result)
+        else:
+            for d in args[0]:
+                want[f"gate_removed_{d.category_id}"] += d not in result
+    got = _run_log(out / "runlog_detect-fused_test.txt")
+    assert {key: int(got[key]) for key in want} == want
+    assert int(got["detections"]) == len(path.read_text().splitlines()) == want["nms_out"] - sum(
+        want[f"gate_removed_{cid}"] for cid in range(3)
+    )
+    assert want["refine_clipped"] > 0 and want["nms_out"] < want["nms_in"]
+    if thresholds is not None:
+        assert want["gate_removed_1"] > 0 == want["gate_removed_0"] == want["gate_removed_2"]
+
+
 def test_detect_writes_the_object_loops_bytes(run, tmp_path, monkeypatch):
-    cfg, src = run
-    out = tmp_path / "out"
-    shutil.copytree(src, out)
-    manifest = out / "data" / "test" / "manifest.txt"
-    monkeypatch.setattr(pipeline, "refine", _frozen_refine)
+    cfg, out, manifest = _copy(run, tmp_path)
+    monkeypatch.setattr(pipeline, "refine", _fallback_refine)
     monkeypatch.setattr(pipeline, "nms", _frozen_nms)
     monkeypatch.setattr(pipeline, "filter_detections", _frozen_filter)
     frozen = pipeline.stage_detect(cfg, manifest, out).read_bytes()
-    assert frozen == (src / "detections_test.txt").read_bytes()
+    assert frozen == (run[1] / "detections_test.txt").read_bytes()
+
+
+def test_detect_keeps_the_proposal_boxes_a_regressor_throws_off_the_image(run, tmp_path):
+    cfg, out, manifest = _copy(run, tmp_path)
+    feats = load_arrays(pipeline.features_path(out, "test"))
+    dim = feats[cfg.regress_channel].shape[1]
+    # a regressor that places no box writes what one without categories does
+    BoxRegressor(dim=dim, coefficients={}).save(pipeline.regressor_path(out))
+    untrained = pipeline.stage_detect(cfg, manifest, out).read_bytes()
+    coef = np.zeros((4, dim + 1))
+    coef[0, dim] = 50.0  # tx = 50: every box moves 50 of its widths right
+    BoxRegressor(dim=dim, coefficients={cid: coef for cid in range(3)}).save(pipeline.regressor_path(out))
+    # the object forms refuse the first row
+    with pytest.raises(ValueError, match="lies outside a 64x64 image$"):
+        _frozen_clip_box(_frozen_apply_targets(Box(*feats["boxes"][0].tolist()), BoxTargets(50.0, 0.0, 0.0, 0.0)), 64, 64)
+    assert pipeline.stage_detect(cfg, manifest, out).read_bytes() == untrained
+    rows = 3 * len(feats["row_image"])
+    got = _run_log(out / "runlog_detect-fused_test.txt")
+    assert (got["refine_kept_proposal"], got["refine_clipped"]) == (str(rows), "0")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fusedet import cache, cli, modelio, pipeline
 from fusedet.cache import file_sha256, load_arrays, save_arrays
 from fusedet.config import PipelineConfig
-from fusedet.core import Box
+from fusedet.core import Box, GroundTruth, iou
 from fusedet.evaluation import PerClassReport, mean_ap, read_report, write_report
 from fusedet.features.cnn import load_cnn_features, write_cnn_features
 from fusedet.images import Image, box_corners, read_pnm, write_pnm
@@ -1109,6 +1109,94 @@ def test_render_writes_an_overlay_per_image(pipe):
         assert path.exists()
         img = read_pnm(path)
         assert img.pixels.shape == (64, 64, 3)
+
+
+# ------------------------------------------------------------------- labels
+
+
+def _frozen_label_rows(cfg, data):
+    """The scalar loop `_label_rows` replaced: one `iou` per (row, ground truth)."""
+    row_image = data.feats["row_image"]
+    boxes = [Box(*c) for c in data.feats["boxes"].tolist()]
+    labels = np.full(len(boxes), -1, dtype=np.int64)
+    best_gts = [None] * len(boxes)
+    for r, box in enumerate(boxes):
+        gts = data.man.images[row_image[r]].ground_truths
+        if not gts:
+            continue
+        ious = [iou(box, gt.box) for gt in gts]
+        j = int(np.argmax(ious))
+        best_gts[r] = gts[j]
+        if ious[j] >= cfg.train_pos_iou:
+            labels[r] = gts[j].category_id
+        elif ious[j] >= cfg.train_neg_iou:
+            labels[r] = -2
+    return labels, best_gts
+
+
+def _label_inputs(images, rows):
+    """Stage inputs of images (ground-truth lists) and rows ((image, Box) pairs)."""
+    man = SimpleNamespace(images=[SimpleNamespace(ground_truths=gts) for gts in images])
+    feats = {
+        "row_image": np.array([i for i, _ in rows], dtype=np.int64),
+        "boxes": box_corners([b for _, b in rows]),
+    }
+    return SimpleNamespace(feats=feats, man=man)
+
+
+def _same_labels(cfg, data):
+    labels, best = pipeline._label_rows(cfg, data)
+    want_labels, want_best = _frozen_label_rows(cfg, data)
+    assert labels.dtype == want_labels.dtype and labels.tolist() == want_labels.tolist()
+    assert [id(g) for g in best] == [id(g) for g in want_best]
+    return labels.tolist(), best
+
+
+# half-unit corners: boxes that touch, coincide, tie and meet 0.5 or 0.3 exactly
+_HALF = st.integers(0, 20).map(lambda v: v / 2)
+_HALF_BOX = st.builds(
+    lambda x, y, w, h: Box(x, y, x + w / 2, y + h / 2), _HALF, _HALF, st.integers(1, 20), st.integers(1, 20)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images=st.lists(
+        st.lists(st.builds(GroundTruth, image_id=st.just("a"), box=_HALF_BOX, category_id=st.integers(0, 2)), max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+    bands=st.sampled_from([(0.5, 0.3), (1 / 3, 0.25), (1.0, 0.0), (0.5, 0.5)]),
+)
+def test_label_rows_matches_the_scalar_loop(images, data, bands):
+    rows = data.draw(st.lists(st.tuples(st.integers(0, len(images) - 1), _HALF_BOX), max_size=25))
+    cfg = PipelineConfig(train_pos_iou=bands[0], train_neg_iou=bands[1])
+    _same_labels(cfg, _label_inputs(images, rows))
+
+
+def test_label_rows_refuses_rows_of_images_the_manifest_does_not_list(tmp_path):
+    data = _label_inputs([[]], [(0, Box(0.0, 0.0, 1.0, 1.0)), (1, Box(0.0, 0.0, 1.0, 1.0))])
+    data.out_dir, data.tag = tmp_path, "train"
+    with pytest.raises(MissingArtifact, match=r"features_train\.npz: rows of images the manifest does not list; rerun 'extract'$"):
+        pipeline._label_rows(PipelineConfig(), data)
+
+
+def test_label_rows_at_the_band_edges_ties_and_images_without_truths():
+    cfg = PipelineConfig()  # train.pos_iou 0.5, train.neg_iou 0.3
+    first = GroundTruth("a", Box(0.0, 0.0, 10.0, 1.0), 1)
+    twin = GroundTruth("a", Box(0.0, 0.0, 10.0, 1.0), 2)
+    images = [[first, twin], []]
+    rows = [
+        (0, Box(0.0, 0.0, 5.0, 1.0)),  # IoU exactly 0.5: positive, the first of two equal truths
+        (0, Box(0.0, 0.0, 3.0, 1.0)),  # IoU exactly 0.3: ignored
+        (0, Box(0.0, 0.0, 2.0, 1.0)),  # IoU 0.2: background
+        (0, Box(10.0, 0.0, 12.0, 1.0)),  # touches: IoU 0, background
+        (1, Box(0.0, 0.0, 5.0, 1.0)),  # an image without truths
+    ]
+    labels, best = _same_labels(cfg, _label_inputs(images, rows))
+    assert labels == [1, -2, -1, -1, -1]
+    assert best == [first, first, first, first, None] and best[0] is first
 
 
 # ------------------------------------------------------------------- the cli

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusedet.core import Box, Detection, GroundTruth, iou
+from fusedet.core import Box, GroundTruth, box_corners, iou
 from fusedet.modelio import write_model
 from fusedet.regress import (
     BoxRegressor,
@@ -104,12 +104,12 @@ def test_training_recovers_an_exactly_linear_transform():
     W, X, proposals, gts = _linear_fixture(rng)
     assert all(iou(p, g.box) >= 0.6 for p, g in zip(proposals, gts))
     reg = train_bbox_regressor(X, proposals, gts, ridge_lambda=1e-9)
-    assert reg.is_trained(0)
+    assert list(reg.coefficients) == [0]
     assert np.allclose(reg.coefficients[0], W, atol=1e-6)
     for i in range(10):
-        pred = reg.predict(0, X[i])
+        pred = reg.coefficients[0] @ np.append(X[i], 1.0)
         true = W @ np.append(X[i], 1.0)
-        assert np.allclose(pred.as_array(), true, atol=1e-6)
+        assert np.allclose(pred, true, atol=1e-6)
 
 
 def test_huge_ridge_collapses_predictions_to_target_mean():
@@ -119,7 +119,7 @@ def test_huge_ridge_collapses_predictions_to_target_mean():
     T = np.stack([bbox_targets(p, g.box).as_array() for p, g in zip(proposals, gts)])
     mean = T.mean(axis=0)
     for i in range(10):
-        assert np.allclose(reg.predict(0, X[i]).as_array(), mean, atol=1e-6)
+        assert np.allclose(reg.coefficients[0] @ np.append(X[i], 1.0), mean, atol=1e-6)
 
 
 def test_coefficients_satisfy_the_normal_equations():
@@ -138,21 +138,20 @@ def test_coefficients_satisfy_the_normal_equations():
 def test_constant_shift_is_learned_and_iou_improves():
     # every proposal sits 5 px right of its object; a constant feature can
     # only learn the bias, which suffices here
-    proposals, gts, dets = [], [], []
+    proposals, gts = [], []
     for i in range(12):
         g = Box(10.0 + 11.0 * i, 30.0, 30.0 + 11.0 * i, 40.0)
         p = Box(g.x_min + 5.0, g.y_min, g.x_max + 5.0, g.y_max)
         proposals.append(p)
         gts.append(GroundTruth(image_id="im", category_id=0, box=g))
-        dets.append(Detection(image_id="im", category_id=0, score=1.0, box=p))
     X = np.ones((12, 1))
     reg = train_bbox_regressor(X, proposals, gts, ridge_lambda=1e-6)
-    refined = refine(dets, X, reg, image_width=200, image_height=100)
-    for det, ref, g in zip(dets, refined, gts):
-        for a, b in zip(_corners(ref.box), _corners(g.box)):
+    refined, kept, _ = refine(box_corners(proposals), X, reg, 0, image_width=200, image_height=100)
+    assert not kept.any()
+    for p, ref, g in zip(proposals, refined.tolist(), gts):
+        for a, b in zip(ref, _corners(g.box)):
             assert abs(a - b) <= 0.1
-        assert iou(ref.box, g.box) >= iou(det.box, g.box) - 1e-12
-        assert ref.score == det.score and ref.category_id == det.category_id
+        assert iou(Box(*ref), g.box) >= iou(p, g.box) - 1e-12
 
 
 def _jittered_pairs(rng, n, dim, category_id=0):
@@ -194,7 +193,7 @@ def test_a_category_of_one_pair_predicts_its_target_everywhere(lam):
     coef = reg.coefficients[2]
     assert np.array_equal(coef[:, :5], np.zeros((4, 5)))
     assert np.array_equal(coef[:, 5], bbox_targets(p1[0], g1[0].box).as_array())
-    assert reg.is_trained(0)
+    assert sorted(reg.coefficients) == [0, 2]
 
 
 def test_training_memory_follows_the_pairs_not_the_width():
@@ -219,8 +218,7 @@ def test_pairs_below_the_iou_gate_are_dropped():
     ]
     X = np.array([[1.0], [2.0]])
     reg = train_bbox_regressor(X, proposals, gts, ridge_lambda=1e-3)
-    assert reg.is_trained(0)
-    assert not reg.is_trained(1)
+    assert list(reg.coefficients) == [0]
 
 
 def test_train_validates_inputs():
@@ -234,45 +232,48 @@ def test_train_validates_inputs():
 # ----------------------------------------------------------------- refinement
 
 
+def _shift_x(tx):
+    """A regressor of 1-d features whose category 0 moves every box by tx widths."""
+    coef = np.zeros((4, 2))
+    coef[0, 1] = tx
+    return BoxRegressor(dim=1, coefficients={0: coef})
+
+
+def _refine_box(box, reg, side, cid=0):
+    """refine of one box: its corners and whether it kept its proposal and was clipped."""
+    out, kept, clipped = refine(box_corners([box]), np.zeros((1, reg.dim)), reg, cid, side, side)
+    return out[0].tolist(), bool(kept[0]), bool(clipped[0])
+
+
 def test_untrained_category_passes_through():
     reg = BoxRegressor(dim=2, coefficients={})
-    det = Detection(image_id="a", category_id=3, score=0.5, box=Box(0, 0, 10, 10))
-    out = refine([det], np.zeros((1, 2)), reg, image_width=50, image_height=50)
-    assert out[0] is det
+    assert _refine_box(Box(0, 0, 10, 10), reg, 50, cid=3) == ([0.0, 0.0, 10.0, 10.0], False, False)
 
 
 def test_refine_clips_to_the_image():
     # bias-only transform shifting the center by half a width
-    coef = np.zeros((4, 2))
-    coef[0, 1] = 0.5
-    reg = BoxRegressor(dim=1, coefficients={0: coef})
-    det = Detection(image_id="a", category_id=0, score=0.5, box=Box(0, 0, 10, 10))
-    out = refine([det], np.zeros((1, 1)), reg, image_width=12, image_height=12)
-    assert out[0].box == Box(5.0, 0.0, 12.0, 10.0)
+    assert _refine_box(Box(0, 0, 10, 10), _shift_x(0.5), 12) == ([5.0, 0.0, 12.0, 10.0], False, True)
 
 
-def test_refine_propagates_clip_errors():
-    coef = np.zeros((4, 2))
-    coef[0, 1] = 5.0
-    reg = BoxRegressor(dim=1, coefficients={0: coef})
-    det = Detection(image_id="a", category_id=0, score=0.5, box=Box(0, 0, 10, 10))
-    with pytest.raises(ValueError):
-        refine([det], np.zeros((1, 1)), reg, image_width=20, image_height=20)
+def test_refine_keeps_the_proposal_of_a_box_outside_the_image():
+    # moved off the image by the regressor, or outside it from the start
+    assert _refine_box(Box(0, 0, 10, 10), _shift_x(5.0), 20) == ([0.0, 0.0, 10.0, 10.0], True, False)
+    assert _refine_box(Box(150, 150, 160, 160), _shift_x(0.0), 100) == ([150.0, 150.0, 160.0, 160.0], True, False)
 
 
 def test_refine_validates_feature_rows():
     reg = BoxRegressor(dim=1, coefficients={})
-    det = Detection(image_id="a", category_id=0, score=0.5, box=Box(0, 0, 10, 10))
     with pytest.raises(ValueError, match="one feature row per detection"):
-        refine([det], np.zeros((2, 1)), reg, image_width=20, image_height=20)
+        refine(box_corners([Box(0, 0, 10, 10)]), np.zeros((2, 1)), reg, 0, image_width=20, image_height=20)
 
 
-def test_predict_validates_shape_and_untrained_gives_none():
-    coef = np.zeros((4, 3))
-    reg = BoxRegressor(dim=2, coefficients={1: coef})
-    assert reg.predict(0, np.zeros(2)) is None
-    with pytest.raises(ValueError, match=r"expected \(2,\)"):
-        reg.predict(1, np.zeros(3))
+def test_refine_checks_the_feature_width_of_a_trained_category_only():
+    reg = BoxRegressor(dim=2, coefficients={1: np.zeros((4, 3))})
+    corners = box_corners([Box(0, 0, 4, 4)])
+    with pytest.raises(ValueError, match=r"^feature has shape \(3,\), expected \(2,\)$"):
+        refine(corners, np.zeros((1, 3)), reg, 1, 10, 10)
+    out, kept, clipped = refine(corners, np.zeros((1, 3)), reg, 0, 10, 10)
+    assert out.tolist() == corners.tolist() and not kept.any() and not clipped.any()
 
 
 def test_regressor_validates_coefficient_shapes():
