@@ -215,6 +215,13 @@ def test_clip_box_inside_is_unchanged():
     assert _clip(Box(0, 0, 10, 10), 100) == ([0.0, 0.0, 10.0, 10.0], False)
 
 
+def test_clip_box_fully_outside_errors():
+    # the clip refuses a box wholly outside the image: refine keeps its proposal
+    reg = BoxRegressor(dim=1, coefficients={0: np.zeros((4, 2))})
+    out, kept, clipped = refine(box_corners([Box(150, 150, 160, 160)]), np.zeros((1, 1)), reg, 0, 100, 100)
+    assert out.tolist() == [[150.0, 150.0, 160.0, 160.0]] and kept.tolist() == [True] and not clipped.any()
+
+
 def test_detection_dump_round_trip():
     dets = [
         Detection("img_0001", Box(1.25, 2.5, 30.75, 42.125), 2, 0.875),
