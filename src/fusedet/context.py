@@ -10,10 +10,11 @@ so it always passes.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from itertools import compress
-from typing import List, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -26,6 +27,12 @@ logger = logging.getLogger(__name__)
 PresencePrior = LinearBank
 
 
+def held_out_count(n: int) -> int:
+    """Images held out of an n-image split to calibrate the gates: a fifth,
+    one for 2 to 4 images, none below 2."""
+    return n // 5 if n >= 5 else (1 if n >= 2 else 0)
+
+
 def train_presence_prior(
     image_features: np.ndarray,
     label_sets: Sequence[Set[int]],
@@ -34,15 +41,21 @@ def train_presence_prior(
     lambda_: float,
     epochs: int,
     seed: int,
+    split_seed: Optional[int] = None,
+    tau: Optional[float] = None,
+    recall: float = 0.95,
 ) -> LinearBank:
-    """One-vs-rest presence classifiers over a whole-image feature.
+    """One-vs-rest presence classifiers over a whole-image feature, with
+    their gate thresholds; the one owner of the gate's policy.
 
-    Examples are sorted by image_id before training so the model does not
-    depend on manifest order. Categories present in every image or absent
-    from every image cannot be trained; they get a constant-sign stand-in
-    model and a disabled gate (threshold -inf), with a warning for the
-    absent case. All returned thresholds are -inf; calibrate them afterwards
-    with select_thresholds.
+    Examples are sorted by image_id, so nothing depends on input order.
+    With split_seed, held_out_count(n) of them, drawn by that seed, are held
+    out of training. Each gate is tau when given; otherwise the
+    select_thresholds value at recall over the held-out images'
+    presence_scores (each scored as a batch of one row), or -inf with none
+    held out. Categories present in every training image or absent from
+    every one cannot be trained: they get a constant-sign stand-in model
+    and an open gate (-inf) whatever tau is, with a warning.
     """
     X = np.asarray(image_features, dtype=np.float64)
     if X.ndim != 2 or not (X.shape[0] == len(label_sets) == len(image_ids)):
@@ -52,29 +65,35 @@ def train_presence_prior(
     order = sorted(range(len(image_ids)), key=lambda i: image_ids[i])
     X = X[order]
     labels = [label_sets[i] for i in order]
+    held = np.zeros(len(order), dtype=bool)
+    if split_seed is not None:
+        held[np.random.default_rng(split_seed).permutation(len(order))[: held_out_count(len(order))]] = True
+    X_train = X[~held]
+    train_labels = list(compress(labels, (~held).tolist()))
 
-    dim = X.shape[1]
-    weights = np.zeros((n_categories, dim))
+    weights = np.zeros((n_categories, X.shape[1]))
     biases = np.zeros(n_categories)
+    stand_in = np.zeros(n_categories, dtype=bool)
     for cid in range(n_categories):
-        y = np.array([1 if cid in s else -1 for s in labels])
+        y = np.array([1 if cid in s else -1 for s in train_labels])
         if np.all(y > 0):
             logger.warning("category %d present in every training image; gate disabled", cid)
-            biases[cid] = 1.0
-            continue
-        if np.all(y < 0):
+            biases[cid], stand_in[cid] = 1.0, True
+        elif np.all(y < 0):
             logger.warning("category %d absent from all training images; gate disabled", cid)
-            biases[cid] = -1.0
-            continue
-        model = train_svm(X, y, lambda_, epochs, seed)
-        weights[cid] = model.weights
-        biases[cid] = model.bias
-    return LinearBank(
-        category_ids=list(range(n_categories)),
-        weights=weights,
-        biases=biases,
-        thresholds=np.full(n_categories, -np.inf),
-    )
+            biases[cid], stand_in[cid] = -1.0, True
+        else:
+            model = train_svm(X_train, y, lambda_, epochs, seed)
+            weights[cid] = model.weights
+            biases[cid] = model.bias
+    prior = LinearBank(list(range(n_categories)), weights, biases)
+    if tau is None and held.any():
+        scores = np.stack([presence_scores(x, prior) for x in X[held]])
+        thresholds = select_thresholds(scores, list(compress(labels, held.tolist())), n_categories, recall)
+    else:
+        thresholds = np.full(n_categories, -np.inf if tau is None else tau)
+    thresholds[stand_in] = -np.inf  # the one place an untrainable category's gate is opened
+    return dataclasses.replace(prior, thresholds=thresholds)
 
 
 def presence_scores(image_feature: np.ndarray, prior: LinearBank) -> np.ndarray:

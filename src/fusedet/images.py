@@ -113,12 +113,8 @@ def write_pnm(img: Image, path) -> None:
 
 
 def float_pixels(img: Image) -> np.ndarray:
-    """(height, width, channels) float64 copy of an image's samples.
-
-    Each channel's plane is stored whole, one after another, so that
-    per-channel work (resampling, grayscale) reads contiguous memory.
-    """
-    return np.moveaxis(np.moveaxis(img.pixels, -1, 0).astype(np.float64), 0, -1)
+    """(height, width, channels) float64 copy of an image's samples."""
+    return img.pixels.astype(np.float64)
 
 
 def to_grayscale(img: Image | np.ndarray) -> np.ndarray:
@@ -157,12 +153,12 @@ def smooth(plane: np.ndarray, sigma: float) -> np.ndarray:
 def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinearly resample windows of a float raster onto an out_h x out_w grid.
 
-    raster is an (h, w) plane or an (h, w, channels) image (float_pixels
-    layout is fastest). windows is one Box, giving an (out_h, out_w[,
-    channels]) array, or a (P, 4) array of corners (box_corners), giving
-    (P, out_h, out_w[, channels]) in one pass. Samples are taken at output
-    pixel centers mapped into each window; source coordinates are clamped to
-    the raster so windows touching or crossing the border stay well defined.
+    raster is an (h, w) plane or an (h, w, channels) image. windows is one
+    Box, giving an (out_h, out_w[, channels]) array, or a (P, 4) array of
+    corners (box_corners), giving (P, out_h, out_w[, channels]) in one pass.
+    Samples are taken at output pixel centers mapped into each window;
+    source coordinates are clamped to the raster so windows touching or
+    crossing the border stay well defined.
     """
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output size must be positive")
@@ -176,24 +172,22 @@ def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out
     ys = np.clip(y_min + (np.arange(out_h) + 0.5) * (heights / out_h) - 0.5, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
-    fx = (xs - x0)[:, None, :]
-    fy = (ys - y0)[:, :, None]
+    pixels = raster.reshape(h * w, -1)  # one row of channel samples per pixel
+    # the x weights are repeated over the channels, so that each product
+    # runs over whole (out_w, channels) rows, not over runs of `channels`
+    fx = np.repeat((xs - x0)[:, None, :, None], pixels.shape[1], axis=3)
+    fy = (ys - y0)[:, :, None, None]
     x1 = np.minimum(x0 + 1, w - 1)[:, None, :]
     row0 = (y0 * w)[:, :, None]
     row1 = (np.minimum(y0 + 1, h - 1) * w)[:, :, None]
     x0 = x0[:, None, :]
 
-    # gather from one flat plane per channel, (channels, P, out_h, out_w)
-    if raster.ndim == 3:
-        planes = np.moveaxis(raster, -1, 0).reshape(-1, h * w)
-    else:
-        planes = raster.reshape(1, -1)
-
     def blend(index_a, index_b, weight_b):
-        """a * (1 - weight_b) + b * weight_b, formed in place."""
-        a = planes.take(index_a, axis=1)
+        """a * (1 - weight_b) + b * weight_b, formed in place, as
+        (P, out_h, out_w, channels)."""
+        a = pixels.take(index_a, axis=0)
         a *= 1 - weight_b
-        b = planes.take(index_b, axis=1)
+        b = pixels.take(index_b, axis=0)
         b *= weight_b
         a += b
         return a
@@ -203,7 +197,7 @@ def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out
     top *= 1 - fy
     bot *= fy
     top += bot
-    out = np.moveaxis(top, 0, -1) if raster.ndim == 3 else top[0]
+    out = top if raster.ndim == 3 else top[..., 0]
     return out[0] if single else out
 
 

@@ -25,8 +25,9 @@ from .classify import CHANNELS, LinearBank, LinearModel, fuse_scores, mine_hard_
 from .config import PipelineConfig, config_digest
 from .context import (
     filter_detections,
+    held_out_count,
     presence_scores,
-    select_thresholds,
+    select_thresholds,  # not called here: train_presence_prior calibrates with it, and perfbench's tracer wraps it
     train_presence_prior,
 )
 from .core import Box, Detection, GroundTruth, iou_array, nms, read_detections, write_detections
@@ -668,47 +669,23 @@ def stage_train_regressor(cfg: PipelineConfig, manifest_path, out_dir, tag: Opti
 
 def stage_train_prior(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     data = _stage_inputs(manifest_path, out_dir, tag, cfg.prior_feature)
-    man, F = data.man, data.prior
-    n = len(man.images)
-    ids = [im.image_id for im in man.images]
-    label_sets = [{gt.category_id for gt in im.ground_truths} for im in man.images]
-
-    # deterministic held-out split for threshold calibration, independent of
-    # manifest order
-    by_id = sorted(range(n), key=lambda i: ids[i])
-    n_held = n // 5 if n >= 5 else (1 if n >= 2 else 0)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "prior-split"))
-    perm = rng.permutation(n)
-    held_positions = set(int(p) for p in perm[:n_held])
-    train_idx = [by_id[p] for p in range(n) if p not in held_positions]
-    held_idx = [by_id[p] for p in range(n) if p in held_positions]
-
+    man = data.man
     prior = train_presence_prior(
-        F[train_idx],
-        [label_sets[i] for i in train_idx],
-        [ids[i] for i in train_idx],
+        data.prior,
+        [{gt.category_id for gt in im.ground_truths} for im in man.images],
+        [im.image_id for im in man.images],
         man.n_categories,
         cfg.svm_lambda,
         cfg.svm_epochs,
         derive_seed(cfg.seed, "prior"),
+        split_seed=derive_seed(cfg.seed, "prior-split"),
+        tau=cfg.prior_tau,
+        recall=cfg.prior_recall,
     )
-    if cfg.prior_tau is not None:
-        tau = np.full(man.n_categories, cfg.prior_tau)
-    elif held_idx:
-        scores = np.stack([presence_scores(F[i], prior) for i in held_idx])
-        tau = select_thresholds(scores, [label_sets[i] for i in held_idx], man.n_categories, cfg.prior_recall)
-    else:
-        tau = np.full(man.n_categories, -np.inf)
-    # categories without both labels in the training subset have stand-in
-    # constant models; their gates stay open no matter the policy
-    for cid in range(man.n_categories):
-        present = sum(1 for i in train_idx if cid in label_sets[i])
-        if present == 0 or present == len(train_idx):
-            tau[cid] = -np.inf
-    prior = dataclasses.replace(prior, thresholds=tau)
     path = prior_path(data.out_dir)
     prior.save(path)
-    _run_log(data.out_dir, "train-prior", data.tag, cfg, {"train_images": len(train_idx), "held_out": len(held_idx)})
+    held = held_out_count(len(man.images))
+    _run_log(data.out_dir, "train-prior", data.tag, cfg, {"train_images": len(man.images) - held, "held_out": held})
     return path
 
 

@@ -9,6 +9,7 @@ import pytest
 from fusedet.context import (
     PresencePrior,
     filter_detections,
+    held_out_count,
     presence_scores,
     select_thresholds,
     train_presence_prior,
@@ -89,6 +90,68 @@ def test_training_validates_inputs():
         train_presence_prior(X, [set()] * 2, ["a", "b", "c"], 1, 0.1, 1, 0)
     with pytest.raises(ValueError, match="unique"):
         train_presence_prior(X, [set()] * 3, ["a", "a", "c"], 1, 0.1, 1, 0)
+
+
+def _held_positions(n, split_seed):
+    """Positions, in image-id order, of the images the seed holds out."""
+    return sorted(np.random.default_rng(split_seed).permutation(n)[: held_out_count(n)].tolist())
+
+
+def test_held_out_count_is_a_fifth_one_for_two_to_four_none_below_two():
+    assert [held_out_count(n) for n in range(13)] == [0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2]
+    assert held_out_count(24) == 4 and held_out_count(200) == 40
+
+
+@pytest.mark.parametrize("split_seed", [None, 4])
+def test_a_fixed_tau_leaves_untrainable_categories_open(split_seed):
+    X, label_sets, ids = _separable_setup()
+    held = set(_held_positions(len(ids), split_seed)) if split_seed is not None else set()
+    # 2 in every training image (absent from the held-out ones), 3 in none
+    sets = [s | ({2} if i not in held else set()) for i, s in enumerate(label_sets)]
+    for tau in (0.25, -1.5, -np.inf):
+        prior = train_presence_prior(X, sets, ids, 4, 1e-3, 5, 1, split_seed=split_seed, tau=tau)
+        assert prior.thresholds.tolist() == [tau, tau, -np.inf, -np.inf]
+        assert prior.biases[2] == 1.0 and prior.biases[3] == -1.0
+
+
+def test_unset_tau_calibrates_on_the_held_out_images_one_row_each():
+    X, label_sets, ids = _separable_setup(seed=5)
+    X[:, 2] += np.linspace(-1.0, 1.0, len(ids))  # scores differ from image to image
+    sets = [s | {3} for s in label_sets]  # 3 is everywhere, so its gate stays open
+    for split_seed, recall in ((4, 0.95), (8, 0.5), (21, 1.0)):
+        prior = train_presence_prior(X, sets, ids, 5, 1e-3, 5, 1, split_seed=split_seed, recall=recall)
+        held = _held_positions(len(ids), split_seed)
+        assert len(held) == 4
+        scores = np.stack([presence_scores(X[i], prior) for i in held])
+        expect = select_thresholds(scores, [sets[i] for i in held], 5, recall)
+        assert np.isfinite(expect[:2]).all() and expect[3] > -np.inf
+        expect[[3, 4]] = -np.inf
+        assert prior.thresholds.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_the_held_out_images_are_drawn_by_the_seed_and_never_trained_on(n):
+    X, label_sets, ids = _separable_setup(seed=n, n=n)
+    perm = np.random.default_rng(n).permutation(n)
+    shuffled = ([X[i] for i in perm], [label_sets[i] for i in perm], [ids[i] for i in perm])
+    for split_seed in (None, 3, 11):
+        base = train_presence_prior(X, label_sets, ids, 2, 1e-3, 5, 1, split_seed=split_seed)
+        unchanged = []
+        for i in range(n):
+            # an outlier on either side of the boundary: a trained image
+            # violates the margin with one of them and moves the weights
+            for outlier in (1e6, -1e6):
+                planted = X.copy()
+                planted[i] = outlier
+                prior = train_presence_prior(planted, label_sets, ids, 2, 1e-3, 5, 1, split_seed=split_seed)
+                if not (np.array_equal(prior.weights, base.weights) and np.array_equal(prior.biases, base.biases)):
+                    break
+            else:
+                unchanged.append(i)
+        assert unchanged == ([] if split_seed is None else _held_positions(n, split_seed))
+        again = train_presence_prior(np.array(shuffled[0]), *shuffled[1:], 2, 1e-3, 5, 1, split_seed=split_seed)
+        assert again.weights.tobytes() == base.weights.tobytes()
+        assert again.thresholds.tobytes() == base.thresholds.tobytes()
 
 
 def test_presence_scores_hand_values_and_oracle():

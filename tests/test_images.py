@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedet.core import Box
 from fusedet.images import (
     Image,
+    box_corners,
     draw_rect,
+    float_pixels,
     gaussian_kernel,
     read_pnm,
     sample_window,
@@ -160,6 +164,78 @@ def test_sample_window_rgb_shape():
     img = Image.from_array(rng.integers(0, 256, size=(20, 20, 3), dtype=np.uint8))
     out = sample_window_rgb(img, Box(1, 2, 9, 12), 6, 5)
     assert out.shape == (5, 6, 3)
+
+
+def _frozen_float_pixels(img):
+    return np.moveaxis(np.moveaxis(img.pixels, -1, 0).astype(np.float64), 0, -1)
+
+
+def _frozen_sample_window(raster, windows, out_w, out_h):
+    """sample_window as it gathered from one flat plane per channel."""
+    single = isinstance(windows, Box)
+    corners = box_corners([windows]) if single else windows
+    h, w = raster.shape[:2]
+    x_min, y_min = corners[:, 0:1], corners[:, 1:2]
+    widths = corners[:, 2:3] - x_min
+    heights = corners[:, 3:4] - y_min
+    xs = np.clip(x_min + (np.arange(out_w) + 0.5) * (widths / out_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip(y_min + (np.arange(out_h) + 0.5) * (heights / out_h) - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    fx = (xs - x0)[:, None, :]
+    fy = (ys - y0)[:, :, None]
+    x1 = np.minimum(x0 + 1, w - 1)[:, None, :]
+    row0 = (y0 * w)[:, :, None]
+    row1 = (np.minimum(y0 + 1, h - 1) * w)[:, :, None]
+    x0 = x0[:, None, :]
+    if raster.ndim == 3:
+        planes = np.moveaxis(raster, -1, 0).reshape(-1, h * w)
+    else:
+        planes = raster.reshape(1, -1)
+
+    def blend(index_a, index_b, weight_b):
+        a = planes.take(index_a, axis=1)
+        a *= 1 - weight_b
+        b = planes.take(index_b, axis=1)
+        b *= weight_b
+        a += b
+        return a
+
+    top = blend(row0 + x0, row0 + x1, fx)
+    bot = blend(row1 + x0, row1 + x1, fx)
+    top *= 1 - fy
+    bot *= fy
+    top += bot
+    out = np.moveaxis(top, 0, -1) if raster.ndim == 3 else top[0]
+    return out[0] if single else out
+
+
+@st.composite
+def _windows(draw, w, h):
+    """Corners inside, touching or crossing the border of a w x h raster."""
+    def edge(size):
+        return draw(st.one_of(st.integers(-size, size), st.floats(-size, 2.0 * size)))
+
+    x, y = edge(w), edge(h)
+    return [x, y, x + draw(st.floats(0.25, 2.0 * w)), y + draw(st.floats(0.25, 2.0 * h))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), w=st.integers(1, 12), h=st.integers(1, 12), channels=st.sampled_from([1, 3]))
+def test_sample_window_gives_the_planar_gathers_bits(data, w, h, channels):
+    pixels = np.random.default_rng(w * 100 + h).integers(0, 256, size=(h, w, channels), dtype=np.uint8)
+    img = Image.from_array(pixels if channels == 3 else pixels[:, :, 0])
+    px, frozen_px = float_pixels(img), _frozen_float_pixels(img)
+    assert px.tobytes() == np.ascontiguousarray(frozen_px).tobytes()
+    gray = data.draw(st.booleans())
+    raster, frozen_raster = (to_grayscale(px), to_grayscale(frozen_px)) if gray else (px, frozen_px)
+    corners = np.array(data.draw(st.lists(_windows(w, h), min_size=1, max_size=4)))
+    out_w, out_h = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    for windows in (corners, Box(*corners[0].tolist())):
+        got = sample_window(raster, windows, out_w, out_h)
+        want = _frozen_sample_window(frozen_raster, windows, out_w, out_h)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_draw_rect_paints_outline():
