@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Box
-from ..images import Image, box_corners, sample_window, to_grayscale
+from ..images import sample_window
 
 CELL = 8
 ORIENTATIONS = 9
@@ -29,13 +28,12 @@ def _normalize(blocks: np.ndarray) -> None:
     blocks /= np.where(norms > _EPS, norms, 1.0)
 
 
-def hog(image: Image | np.ndarray, windows: Box | np.ndarray, cells_x: int, cells_y: int) -> np.ndarray:
+def hog(gray: np.ndarray, corners: np.ndarray, cells_x: int, cells_y: int) -> np.ndarray:
     """Block-normalized gradient orientation histograms of image windows.
 
-    image is an Image or its to_grayscale plane (pass the plane to convert
-    the image once for many calls). windows is one Box, giving a
-    hog_length(cells_x, cells_y) vector, or a (P, 4) array of corners
-    (box_corners), giving a (P, hog_length) array computed in one pass.
+    gray is an image's to_grayscale plane and corners a (P, 4) array of
+    windows (box_corners) that overlap it, which the caller checks; the
+    result is a (P, hog_length) array computed in one pass.
 
     The descriptor depends only on intensity differences, so it is invariant
     to a constant offset added to the window. A uniform window yields the
@@ -43,20 +41,6 @@ def hog(image: Image | np.ndarray, windows: Box | np.ndarray, cells_x: int, cell
     """
     if cells_x < 1 or cells_y < 1:
         raise ValueError("cell grid must be at least 1x1")
-    gray = to_grayscale(image) if isinstance(image, Image) else image
-    single = isinstance(windows, Box)
-    corners = box_corners([windows]) if single else windows
-    height, width = gray.shape
-    outside = ~(
-        (corners[:, 0] < width)
-        & (corners[:, 1] < height)
-        & (corners[:, 2] > 0)
-        & (corners[:, 3] > 0)
-    )
-    if outside.any():
-        window = windows if single else Box(*corners[int(np.argmax(outside))].tolist())
-        raise ValueError(f"window {window} lies outside the {width}x{height} image")
-
     n = len(corners)
     out_w, out_h = cells_x * CELL, cells_y * CELL
     patches = sample_window(gray, corners, out_w, out_h)
@@ -100,5 +84,4 @@ def hog(image: Image | np.ndarray, windows: Box | np.ndarray, cells_x: int, cell
     _normalize(blocks)
     np.minimum(blocks, CLAMP, out=blocks)
     _normalize(blocks)
-    out = blocks.reshape(n, -1)
-    return out[0] if single else out
+    return blocks.reshape(n, -1)

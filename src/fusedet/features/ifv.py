@@ -11,7 +11,7 @@ power normalization and global L2 normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,14 +22,14 @@ _EPS = 1e-12
 DEFAULT_VARIANCE_FLOOR = 1e-4
 
 
-def _codebook_arrays(path, kind: str, names: Sequence[str]) -> List[np.ndarray]:
-    """The named arrays of a codebook file of this kind; ValueError naming
-    the file if one is missing."""
-    _, arrays = modelio.read_model(path, kind)
+def _codebook_arrays(path, kind: str, names: Sequence[str]) -> Tuple[Dict[str, str], List[np.ndarray]]:
+    """The meta lines and the named arrays of a codebook file of this kind;
+    ValueError naming the file if an array is missing."""
+    meta, arrays = modelio.read_model(path, kind)
     for name in names:
         if name not in arrays:
             raise ValueError(f"{path}: not a valid codebook: no {name!r} array")
-    return [arrays[name] for name in names]
+    return meta, [arrays[name] for name in names]
 
 
 def _check_values(path, **arrays) -> None:
@@ -46,22 +46,24 @@ def _check_values(path, **arrays) -> None:
 class PcaModel:
     mean: np.ndarray  # (raw_dim,)
     basis: np.ndarray  # (raw_dim, D), orthonormal columns
+    # meta lines saved with the model: what the caller records it was fit from
+    provenance: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     def save(self, path) -> None:
-        modelio.write_model(path, "pca", {}, {"mean": self.mean[None, :], "basis": self.basis})
+        modelio.write_model(path, "pca", self.provenance, {"mean": self.mean[None, :], "basis": self.basis})
 
     @classmethod
     def load(cls, path) -> "PcaModel":
         """The PCA saved at path; ValueError naming the file if it holds none."""
-        mean, basis = _codebook_arrays(path, "pca", ("mean", "basis"))
+        meta, (mean, basis) = _codebook_arrays(path, "pca", ("mean", "basis"))
         if mean.shape != (1, basis.shape[0]):
             raise ValueError(f"{path}: not a valid codebook: mean {mean.shape} does not fit basis {basis.shape}")
         _check_values(path, mean=(mean, False), basis=(basis, False))
-        return cls(mean=mean[0], basis=basis)
+        return cls(mean=mean[0], basis=basis, provenance=meta)
 
 
 @dataclass
@@ -70,6 +72,8 @@ class GmmModel:
     means: np.ndarray  # (K, D)
     variances: np.ndarray  # (K, D), floored diagonal covariances
     log_likelihoods: List[float] = field(default_factory=list, repr=False, compare=False)
+    # meta lines saved after k and dim, as PcaModel.provenance
+    provenance: Dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -83,21 +87,22 @@ class GmmModel:
         modelio.write_model(
             path,
             "gmm",
-            {"k": str(self.k), "dim": str(self.dim)},
+            {"k": str(self.k), "dim": str(self.dim), **self.provenance},
             {"weights": self.weights[None, :], "means": self.means, "variances": self.variances},
         )
 
     @classmethod
     def load(cls, path) -> "GmmModel":
         """The mixture saved at path; ValueError naming the file if it holds none."""
-        weights, means, variances = _codebook_arrays(path, "gmm", ("weights", "means", "variances"))
+        meta, (weights, means, variances) = _codebook_arrays(path, "gmm", ("weights", "means", "variances"))
         if weights.shape[0] != 1 or means.shape != variances.shape or len(means) != weights.shape[1]:
             raise ValueError(
                 f"{path}: not a valid codebook: weights {weights.shape}, means {means.shape} "
                 f"and variances {variances.shape} disagree"
             )
         _check_values(path, weights=(weights, True), means=(means, False), variances=(variances, True))
-        return cls(weights=weights[0], means=means, variances=variances)
+        provenance = {key: value for key, value in meta.items() if key not in ("k", "dim")}
+        return cls(weights=weights[0], means=means, variances=variances, provenance=provenance)
 
 
 def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box, box_corners
+from .core import Box
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,9 @@ def float_pixels(img: Image) -> np.ndarray:
     return img.pixels.astype(np.float64)
 
 
-def to_grayscale(img: Image | np.ndarray) -> np.ndarray:
-    """Float64 grayscale in [0, 255] of an Image, or of a float pixel array
+def to_grayscale(px: np.ndarray) -> np.ndarray:
+    """Float64 grayscale in [0, 255] of a float pixel array (float_pixels)
     whose last axis holds 1 or 3 channels (any leading shape)."""
-    px = float_pixels(img) if isinstance(img, Image) else img
     if px.shape[-1] == 1:
         return px[..., 0]
     return 0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2]
@@ -150,20 +149,18 @@ def smooth(plane: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+def sample_window(raster: np.ndarray, corners: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinearly resample windows of a float raster onto an out_h x out_w grid.
 
-    raster is an (h, w) plane or an (h, w, channels) image. windows is one
-    Box, giving an (out_h, out_w[, channels]) array, or a (P, 4) array of
-    corners (box_corners), giving (P, out_h, out_w[, channels]) in one pass.
-    Samples are taken at output pixel centers mapped into each window;
-    source coordinates are clamped to the raster so windows touching or
-    crossing the border stay well defined.
+    raster is an (h, w) plane or an (h, w, channels) image; corners is a
+    (P, 4) array of windows (box_corners), giving (P, out_h, out_w[,
+    channels]) in one pass. Samples are taken at output pixel centers mapped
+    into each window; source coordinates are clamped to the raster, so a
+    window crossing the border stays well defined and one wholly outside it
+    takes the border's values (extract refuses such windows).
     """
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output size must be positive")
-    single = isinstance(windows, Box)
-    corners = box_corners([windows]) if single else windows
     h, w = raster.shape[:2]
     x_min, y_min = corners[:, 0:1], corners[:, 1:2]
     widths = corners[:, 2:3] - x_min
@@ -197,17 +194,13 @@ def sample_window(raster: np.ndarray, windows: Box | np.ndarray, out_w: int, out
     top *= 1 - fy
     bot *= fy
     top += bot
-    out = top if raster.ndim == 3 else top[..., 0]
-    return out[0] if single else out
+    return top if raster.ndim == 3 else top[..., 0]
 
 
-def sample_window_rgb(
-    img: Image | np.ndarray, windows: Box | np.ndarray, out_w: int, out_h: int
-) -> np.ndarray:
-    """sample_window over every channel of an Image, or of its float_pixels
-    array (pass the array to convert the image once for many calls)."""
-    px = float_pixels(img) if isinstance(img, Image) else img
-    return sample_window(px, windows, out_w, out_h)
+def sample_window_rgb(px: np.ndarray, corners: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """sample_window over every channel of an image's float_pixels array:
+    the name extract's Fisher and embedding channels resample by."""
+    return sample_window(px, corners, out_w, out_h)
 
 
 def draw_rect(pixels: np.ndarray, box: Box, color, thickness: int = 1) -> None:

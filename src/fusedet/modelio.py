@@ -114,12 +114,16 @@ def read_model(path, expected_kind: str) -> Tuple[Dict[str, str], Dict[str, np.n
             return meta, arrays
         parts = line.split(" ")
         if parts[0] == "meta" and len(parts) >= 3:
+            if parts[1] in meta:
+                raise ValueError(f"{path}:{i + 1}: repeated meta key {parts[1]!r}")
             meta[parts[1]] = " ".join(parts[2:])
             i += 1
         elif parts[0] == "array" and len(parts) == 4:
             if not (is_count(parts[2]) and is_count(parts[3])):
                 raise ValueError(f"{path}:{i + 1}: bad array header {line!r}")
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+            if name in arrays:
+                raise ValueError(f"{path}:{i + 1}: repeated array {name!r}")
             if i + rows >= len(lines):
                 raise ValueError(f"{path}: truncated array {name!r}")
             data = np.empty((rows, cols), dtype=np.float64)

@@ -30,7 +30,7 @@ from .context import (
     select_thresholds,  # not called here: train_presence_prior calibrates with it, and perfbench's tracer wraps it
     train_presence_prior,
 )
-from .core import Box, Detection, GroundTruth, iou_array, nms, read_detections, write_detections
+from .core import Box, Detection, GroundTruth, box_corners, iou_array, nms, read_detections, write_detections
 from .evaluation import mean_ap, per_class_report, read_report, write_report, categories_won
 from .features import (
     dense_descriptors,
@@ -49,7 +49,6 @@ from .features import (
 )
 from .images import (
     Image,
-    box_corners,
     draw_rect,
     float_pixels,
     read_pnm,
@@ -222,7 +221,16 @@ def stage_propose(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     boxes = map_indices(image_boxes, len(man.images))
     path = proposals_path(out_dir, tag)
     write_proposals(path, [(im.image_id, b) for im, b in zip(man.images, boxes)])
-    _run_log(out_dir, "propose", tag, cfg, {"images": len(man.images), "proposals": sum(map(len, boxes))})
+    counts = np.array([len(b) for b in boxes] or [0])
+    stats = {
+        "images": len(man.images),
+        "proposals": counts.sum(),
+        "boxes_min": counts.min(),
+        "boxes_median": modelio.fmt_float(np.median(counts)),
+        "boxes_max": counts.max(),
+        "capped": (counts >= cfg.proposals_max_per_image).sum(),
+    }
+    _run_log(out_dir, "propose", tag, cfg, stats)
     return path
 
 
@@ -252,6 +260,9 @@ def extract_image(
     every window (a (P, 4) corner array) into the matching rows of the three
     outputs, and returns the Fisher vector and embedding of the whole image.
 
+    Every window must overlap the image. stage_extract checks this; the
+    samplers clamp a window wholly outside it to the border and raise nothing.
+
     Windows go through the feature functions EXTRACT_CHUNK at a time, so the
     float64 temporaries of one pass stay a few megabytes however many
     proposals the image has.
@@ -268,12 +279,29 @@ def extract_image(
     return _fisher_rows(cfg, px, full, pca, gmm)[0], _embed_rows(px, full)[0]
 
 
+def _codebook_settings(cfg: PipelineConfig) -> Dict[str, str]:
+    """The settings a codebook fit reads beyond those its shape shows, by
+    config key, as the codebook files record them."""
+    return {
+        "ifv.stride": str(cfg.ifv_stride),
+        "ifv.gmm_iters": str(cfg.ifv_gmm_iters),
+        "ifv.gmm_tol": modelio.fmt_float(cfg.ifv_gmm_tol),
+        "ifv.variance_floor": modelio.fmt_float(cfg.ifv_variance_floor),
+        "ifv.codebook_samples": str(cfg.ifv_codebook_samples),
+    }
+
+
 def _fit_codebook(
-    cfg: PipelineConfig, man: DatasetManifest, out_dir
+    cfg: PipelineConfig, man: DatasetManifest, out_dir, tag: str
 ) -> Tuple[PcaModel, GmmModel, Dict[str, object]]:
-    """The saved codebook, or one fit on man's images and saved, with the
-    run-log lines that say which: `codebook loaded`, or `codebook fit` and
-    the pool, EM iteration count and final mean log-likelihood of the fit.
+    """The saved codebook, or one fit on man's images (the split tag) and
+    saved, with the run-log lines that say which: `codebook loaded`, or
+    `codebook fit` and the pool, EM iteration count and final mean
+    log-likelihood of the fit; and `codebook_tag`, the split it was fit on.
+
+    Both files record _codebook_settings and the tag as meta lines. A saved
+    codebook of another shape, or fit under other settings, or recording
+    none, is refused.
 
     The fit holds one pool array, of the descriptors it fits on. The images
     are read until they give 4 * ifv.codebook_samples descriptors, and a
@@ -298,7 +326,17 @@ def _fit_codebook(
                 raise MissingArtifact(
                     f"{path}: saved codebook has {saved} {what} where {key} asks for {want}; {refit}"
                 )
-        return pca, gmm, {"codebook": "loaded"}
+        settings = _codebook_settings(cfg)
+        for path, recorded in ((pca_file, pca.provenance), (gmm_file, gmm.provenance)):
+            for key in (*settings, "tag"):
+                if key not in recorded:
+                    raise MissingArtifact(f"{path}: saved codebook records no {key}; {refit}")
+                if key in settings and recorded[key] != settings[key]:
+                    raise MissingArtifact(
+                        f"{path}: saved codebook was fit with {key} {recorded[key]} where the config asks for "
+                        f"{settings[key]}; {refit}"
+                    )
+        return pca, gmm, {"codebook": "loaded", "codebook_tag": pca.provenance["tag"]}
 
     # the 8-bit images first, about 1/18 the size of their descriptors: their
     # shapes give the descriptor count, and with it the rows to keep, before
@@ -324,7 +362,8 @@ def _fit_codebook(
     bounds = np.searchsorted(keep, starts + [drawn]).tolist()  # each image's rows of the pool
     pool = np.empty((len(keep), 2 * cfg.ifv_patch**2))
     for img, start, lo, hi in zip(images, starts, bounds, bounds[1:]):
-        pool[lo:hi] = dense_descriptors(to_grayscale(img), cfg.ifv_stride, cfg.ifv_patch)[keep[lo:hi] - start]
+        plane = to_grayscale(float_pixels(img))
+        pool[lo:hi] = dense_descriptors(plane, cfg.ifv_stride, cfg.ifv_patch)[keep[lo:hi] - start]
     del images
     pca = pca_fit(pool, cfg.ifv_pca_dim, overwrite_descriptors=True)
     reduced = pool @ pca.basis
@@ -337,6 +376,7 @@ def _fit_codebook(
         derive_seed(cfg.seed, "gmm"),
         cfg.ifv_variance_floor,
     )
+    pca.provenance = gmm.provenance = {**_codebook_settings(cfg), "tag": tag}
     pca.save(pca_file)
     gmm.save(gmm_file)
     logger.info("codebook fit on %d descriptors", len(keep))
@@ -346,6 +386,7 @@ def _fit_codebook(
         "codebook_pool": len(keep),
         "codebook_em_iterations": len(gmm.log_likelihoods),
         "codebook_log_likelihood": modelio.fmt_float(gmm.log_likelihoods[-1]),
+        "codebook_tag": tag,
     }
 
 
@@ -359,14 +400,15 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     tag = tag_for(manifest_path, tag)
     out_dir = Path(out_dir)
     man = read_manifest(manifest_path)
-    props = read_proposals(_require(proposals_path(out_dir, tag), "propose"))
+    props_file = proposals_path(out_dir, tag)
+    props = read_proposals(_require(props_file, "propose"))
     for im in man.images:
         if im.image_id not in props:
             raise MissingArtifact(
                 f"no proposals for image {im.image_id}; rerun 'propose' on this manifest"
             )
 
-    pca, gmm, codebook = _fit_codebook(cfg, man, out_dir)
+    pca, gmm, codebook = _fit_codebook(cfg, man, out_dir, tag)
 
     counts = np.array([len(props[im.image_id]) for im in man.images], dtype=np.int64)
     starts = np.cumsum(counts) - counts
@@ -393,8 +435,17 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
                 f"{im.image_id} has {img.channels}; the images of one split must share a channel count"
             )
         rows = slice(starts[i], starts[i] + counts[i])
+        windows = box_rows[rows]
+        # the one check that every window overlaps its image, for all three samplers
+        inside = (windows[:, 0] < img.width) & (windows[:, 1] < img.height) & (windows[:, 2] > 0) & (windows[:, 3] > 0)
+        if not inside.all():
+            p = int(np.argmin(inside))
+            raise MissingArtifact(
+                f"{props_file}: image {im.image_id} proposal {p} ({' '.join(map(modelio.fmt_float, windows[p]))}) "
+                f"lies outside its {img.width}x{img.height} image; rerun 'propose' on this manifest"
+            )
         prior_rows[i], prior_cnn[i] = extract_image(
-            cfg, img, box_rows[rows], pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
+            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
 
     map_indices(image_rows, len(man.images))
@@ -625,6 +676,7 @@ def _bank_scores(channels: Dict[str, np.ndarray], banks: Dict[str, LinearBank]) 
 
 def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str] = None) -> Path:
     data = _stage_inputs(manifest_path, out_dir, tag)
+    n_cat = data.man.n_categories
     labels, _ = _label_rows(cfg, data)
     fused = _bank_scores(data.channels, _load_banks(data))
     keep = labels != -2
@@ -634,11 +686,16 @@ def stage_train_fusion(cfg: PipelineConfig, manifest_path, out_dir, tag: Optiona
         cfg.fusion_lambda,
         cfg.fusion_epochs,
         derive_seed(cfg.seed, "fusion"),
-        category_ids=list(range(data.man.n_categories)),
+        category_ids=list(range(n_cat)),
     )
     path = fusion_path(data.out_dir)
     fusion.save(path)
-    _run_log(data.out_dir, "train-fusion", data.tag, cfg, {"rows": int(keep.sum())})
+    # the fused columns hold the N category scores of each channel in turn
+    mass = {
+        f"weight_mass_{ch}": modelio.fmt_float(float(np.abs(fusion.weights[:, c * n_cat : (c + 1) * n_cat]).sum()))
+        for c, ch in enumerate(CHANNELS)
+    }
+    _run_log(data.out_dir, "train-fusion", data.tag, cfg, {"rows": int(keep.sum()), **mass})
     return path
 
 

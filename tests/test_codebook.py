@@ -17,7 +17,7 @@ import pytest
 from fusedet import pipeline
 from fusedet.config import PipelineConfig
 from fusedet.features import GmmModel, PcaModel, dense_descriptors, gmm_fit
-from fusedet.images import Image, read_pnm, to_grayscale, write_pnm
+from fusedet.images import Image, float_pixels, read_pnm, to_grayscale, write_pnm
 from fusedet.manifest import read_manifest, write_manifest
 from fusedet.modelio import fmt_float
 from fusedet.pipeline import codebook_paths, derive_seed, stage_extract, stage_propose
@@ -43,7 +43,8 @@ def _old_fit(cfg, man):
     chunks = []
     total = 0
     for im in man.images:
-        d = dense_descriptors(to_grayscale(read_pnm(man.resolved_path(im))), cfg.ifv_stride, cfg.ifv_patch)
+        plane = to_grayscale(float_pixels(read_pnm(man.resolved_path(im))))
+        d = dense_descriptors(plane, cfg.ifv_stride, cfg.ifv_patch)
         if len(d):
             chunks.append(d)
             total += len(d)
@@ -94,8 +95,18 @@ def _ragged_split(root):
     return _cut(root, _split(root, 8, 96), {1: (10, 40), 3: (50, 77)})
 
 
+def _without_provenance(path, cfg, tag):
+    """The text of a codebook file without the meta lines of the settings
+    and split tag a fit records, after checking that it holds them."""
+    lines = path.read_text().splitlines(keepends=True)
+    recorded = [ln for ln in lines if ln.startswith(("meta ifv.", "meta tag "))]
+    recorded_by_fit = {**pipeline._codebook_settings(cfg), "tag": tag}
+    assert recorded == [f"meta {key} {value}\n" for key, value in recorded_by_fit.items()]
+    return "".join(ln for ln in lines if ln not in recorded)
+
+
 def _descriptors_per_image(man, cfg):
-    planes = [to_grayscale(read_pnm(man.resolved_path(im))) for im in man.images]
+    planes = [to_grayscale(float_pixels(read_pnm(man.resolved_path(im)))) for im in man.images]
     return [len(dense_descriptors(plane, cfg.ifv_stride, cfg.ifv_patch)) for plane in planes]
 
 
@@ -115,7 +126,7 @@ def test_codebook_files_match_the_concatenating_fit(tmp_path, samples, drawn, po
     assert _descriptors_per_image(man, cfg) == [121, 0, 121, 40, 121, 121, 121, 121]
     out = tmp_path / "out"
     out.mkdir()
-    pca, gmm, lines = pipeline._fit_codebook(cfg, man, out)
+    pca, gmm, lines = pipeline._fit_codebook(cfg, man, out, "data")
     old_pca, old_gmm, old_drawn, old_pool = _old_fit(cfg, man)
     assert (old_drawn, old_pool) == (drawn, pool)
     assert lines == {
@@ -124,6 +135,7 @@ def test_codebook_files_match_the_concatenating_fit(tmp_path, samples, drawn, po
         "codebook_pool": pool,
         "codebook_em_iterations": len(old_gmm.log_likelihoods),
         "codebook_log_likelihood": fmt_float(old_gmm.log_likelihoods[-1]),
+        "codebook_tag": "data",
     }
     old = tmp_path / "old"
     old.mkdir()
@@ -131,7 +143,7 @@ def test_codebook_files_match_the_concatenating_fit(tmp_path, samples, drawn, po
     old_pca.save(old_pca_file)
     old_gmm.save(old_gmm_file)
     for new_file, old_file in zip(codebook_paths(out), (old_pca_file, old_gmm_file)):
-        assert new_file.read_bytes() == old_file.read_bytes(), new_file.name
+        assert _without_provenance(new_file, cfg, "data") == old_file.read_text(), new_file.name
     assert gmm.log_likelihoods == old_gmm.log_likelihoods
     assert pca.basis.tobytes() == old_pca.basis.tobytes()
 
@@ -148,7 +160,7 @@ def test_codebook_fit_holds_one_pool(tmp_path, samples):
     out.mkdir()
     tracemalloc.start()
     try:
-        pipeline._fit_codebook(cfg, man, out)
+        pipeline._fit_codebook(cfg, man, out, "data")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,7 +171,7 @@ def test_a_codebook_fit_with_no_descriptors_names_the_problem(tmp_path):
     root = tmp_path / "data"
     man = _cut(root, _split(root, 2, 48), {0: (10, 48), 1: (48, 15)})  # shorter than a 16 px patch
     with pytest.raises(ValueError, match="no descriptors available to fit the codebook"):
-        pipeline._fit_codebook(_cfg(100), man, tmp_path)
+        pipeline._fit_codebook(_cfg(100), man, tmp_path, "data")
 
 
 def test_extract_logs_the_codebook_it_fits_and_the_one_it_loads(tmp_path):
@@ -184,5 +196,6 @@ def test_extract_logs_the_codebook_it_fits_and_the_one_it_loads(tmp_path):
         f"codebook_em_iterations {len(old_gmm.log_likelihoods)}",
         f"codebook_log_likelihood {fmt_float(old_gmm.log_likelihoods[-1])}",
         "codebook_pool 100",
+        "codebook_tag train",
     ]
-    assert codebook_lines("test") == ["codebook loaded"]
+    assert codebook_lines("test") == ["codebook loaded", "codebook_tag train"]

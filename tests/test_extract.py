@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fusedet.config import PipelineConfig
-from fusedet.core import Box
+from fusedet.core import Box, box_corners
 from fusedet.features import GmmModel, PcaModel, fisher_length, hog_length
-from fusedet.images import Image, box_corners
+from fusedet.images import Image
 from fusedet.pipeline import CNN_EMBED_SIDE, EXTRACT_CHUNK, extract_image
 
 # ---------------------------------------------------------------- the oracle

@@ -23,12 +23,12 @@ from fusedet.features.ifv import (
     pca_apply,
     pca_fit,
 )
-from fusedet.images import Image, to_grayscale
+from fusedet.images import Image, float_pixels, to_grayscale
 
 
 def _gray(arr):
     """Grayscale plane of an 8-bit image."""
-    return to_grayscale(Image.from_array(arr.astype(np.uint8)))
+    return to_grayscale(float_pixels(Image.from_array(arr.astype(np.uint8))))
 
 
 # ---------------------------------------------------------------- descriptors

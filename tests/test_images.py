@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusedet.core import Box
+from fusedet.core import Box, box_corners
 from fusedet.images import (
     Image,
-    box_corners,
     draw_rect,
     float_pixels,
     gaussian_kernel,
@@ -99,10 +98,10 @@ def test_read_pnm_header_errors_name_the_file(tmp_path, header, message):
 def test_to_grayscale_matches_weights():
     arr = np.zeros((1, 1, 3), dtype=np.uint8)
     arr[0, 0] = (100, 50, 200)
-    g = to_grayscale(Image.from_array(arr))
+    g = to_grayscale(float_pixels(Image.from_array(arr)))
     assert g[0, 0] == pytest.approx(0.299 * 100 + 0.587 * 50 + 0.114 * 200)
     gray = Image.from_array(np.full((2, 2), 37, dtype=np.uint8))
-    assert np.all(to_grayscale(gray) == 37.0)
+    assert np.all(to_grayscale(float_pixels(gray)) == 37.0)
 
 
 def test_gaussian_kernel_is_normalized_and_symmetric():
@@ -132,13 +131,13 @@ def test_smooth_preserves_mean_roughly():
 def test_sample_window_identity_on_full_box():
     rng = np.random.default_rng(13)
     plane = rng.uniform(0, 255, size=(10, 14))
-    out = sample_window(plane, Box(0, 0, 14, 10), 14, 10)
+    out = sample_window(plane, box_corners([Box(0, 0, 14, 10)]), 14, 10)[0]
     assert np.allclose(out, plane, atol=1e-12)
 
 
 def test_sample_window_constant_region():
     plane = np.full((20, 20), 7.0)
-    out = sample_window(plane, Box(2.5, 3.5, 11.0, 17.0), 8, 8)
+    out = sample_window(plane, box_corners([Box(2.5, 3.5, 11.0, 17.0)]), 8, 8)[0]
     assert out.shape == (8, 8)
     assert np.allclose(out, 7.0)
 
@@ -147,14 +146,14 @@ def test_sample_window_interpolates_linear_ramp():
     # bilinear sampling reproduces an affine plane exactly away from borders
     xs = np.arange(16, dtype=np.float64)
     plane = np.tile(xs, (16, 1))
-    out = sample_window(plane, Box(4, 4, 12, 12), 16, 16)
+    out = sample_window(plane, box_corners([Box(4, 4, 12, 12)]), 16, 16)[0]
     expect = 4 + (np.arange(16) + 0.5) * 0.5 - 0.5
     assert np.allclose(out[8], expect, atol=1e-12)
 
 
 def test_sample_window_clamps_outside_coordinates():
     plane = np.arange(9, dtype=np.float64).reshape(3, 3)
-    out = sample_window(plane, Box(-5, -5, 8, 8), 4, 4)
+    out = sample_window(plane, box_corners([Box(-5, -5, 8, 8)]), 4, 4)[0]
     assert np.all(np.isfinite(out))
     assert out.min() >= plane.min() and out.max() <= plane.max()
 
@@ -162,7 +161,7 @@ def test_sample_window_clamps_outside_coordinates():
 def test_sample_window_rgb_shape():
     rng = np.random.default_rng(17)
     img = Image.from_array(rng.integers(0, 256, size=(20, 20, 3), dtype=np.uint8))
-    out = sample_window_rgb(img, Box(1, 2, 9, 12), 6, 5)
+    out = sample_window_rgb(float_pixels(img), box_corners([Box(1, 2, 9, 12)]), 6, 5)[0]
     assert out.shape == (5, 6, 3)
 
 
@@ -231,9 +230,11 @@ def test_sample_window_gives_the_planar_gathers_bits(data, w, h, channels):
     raster, frozen_raster = (to_grayscale(px), to_grayscale(frozen_px)) if gray else (px, frozen_px)
     corners = np.array(data.draw(st.lists(_windows(w, h), min_size=1, max_size=4)))
     out_w, out_h = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
-    for windows in (corners, Box(*corners[0].tolist())):
+    # one window as a row of its own, where the frozen copy also took a Box
+    for windows, single in ((corners, False), (corners[:1], True)):
         got = sample_window(raster, windows, out_w, out_h)
-        want = _frozen_sample_window(frozen_raster, windows, out_w, out_h)
+        want = _frozen_sample_window(frozen_raster, Box(*windows[0].tolist()) if single else windows, out_w, out_h)
+        got = got[0] if single else got
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 

@@ -108,6 +108,24 @@ def test_read_rejects_malformed_bodies(tmp_path):
         read_model(p, "gmm")
 
 
+@pytest.mark.parametrize(
+    "body, line, what",
+    [
+        ("meta k 1\nmeta k 2\n", 3, "meta key 'k'"),
+        ("meta k 1\nmeta j 1\nmeta k 1\n", 4, "meta key 'k'"),
+        ("array w 1 2\n1 2\narray w 1 2\n3 4\n", 4, "array 'w'"),
+        ("array w 0 2\nmeta w 1\narray w 1 1\n5\n", 4, "array 'w'"),
+    ],
+)
+def test_read_refuses_a_repeated_meta_key_or_array_name(tmp_path, body, line, what):
+    # the reader kept the last of the two, silently
+    p = tmp_path / "m.txt"
+    p.write_text(f"fusedet-model 1 gmm\n{body}end\n")
+    with pytest.raises(ValueError) as err:
+        read_model(p, "gmm")
+    assert str(err.value) == f"{p}:{line}: repeated {what}"
+
+
 def test_write_rejects_meta_keys_with_spaces(tmp_path):
     with pytest.raises(ValueError, match="must not contain spaces"):
         write_model(tmp_path / "m.txt", "gmm", {"bad key": "1"}, {})

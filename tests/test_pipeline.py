@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from fusedet import cache, cli, modelio, pipeline
 from fusedet.cache import file_sha256, load_arrays, save_arrays
+from fusedet.classify import CHANNELS, LinearBank
 from fusedet.config import PipelineConfig
-from fusedet.core import Box, GroundTruth, iou
+from fusedet.core import Box, GroundTruth, box_corners, iou
 from fusedet.evaluation import PerClassReport, mean_ap, read_report, write_report
 from fusedet.features.cnn import load_cnn_features, write_cnn_features
-from fusedet.images import Image, box_corners, read_pnm, write_pnm
+from fusedet.images import Image, read_pnm, write_pnm
 from fusedet.manifest import DatasetManifest, ManifestImage, read_manifest, write_manifest
 from fusedet.pipeline import (
     MissingArtifact,
@@ -55,9 +56,13 @@ def _micro_cfg():
     )
 
 
-# config-file lines that reproduce the codebook _micro_cfg fits, so a CLI run
-# with an otherwise default config may reuse the fixture's codebook
-MICRO_CODEBOOK = f"ifv.pca_dim = {_micro_cfg().ifv_pca_dim}\nifv.gmm_k = {_micro_cfg().ifv_gmm_k}\n"
+# config-file lines that reproduce the codebook _micro_cfg fits, shape and
+# recorded settings, so a CLI run with an otherwise default config may reuse
+# the fixture's codebook
+MICRO_CODEBOOK = "".join(
+    f"ifv.{key} = {getattr(_micro_cfg(), 'ifv_' + key)}\n"
+    for key in ("pca_dim", "gmm_k", "codebook_samples", "gmm_iters")
+)
 
 
 @pytest.fixture(scope="module")
@@ -459,7 +464,7 @@ def test_the_benchmark_embed_order_runs_every_verb_and_parses_each_text_once(pip
     out = tmp_path / "out"
     cfg_file = tmp_path / "cfg"
     cfg_file.write_text(
-        MICRO_CODEBOOK + "ifv.codebook_samples = 1500\nifv.gmm_iters = 20\nsvm.epochs = 5\nfusion.epochs = 5\n"
+        MICRO_CODEBOOK + "svm.epochs = 5\nfusion.epochs = 5\n"
     )
     manifests = {split: pipe[f"{split}_manifest"] for split in ("train", "test")}
 
@@ -691,6 +696,39 @@ def test_extract_refuses_a_split_of_mixed_channel_counts(tmp_path):
     assert not (out / "features_data.npz").exists() and not (out / "cnn_data.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "box, coords",
+    [
+        (Box(-20.0, 5.0, 0.0, 15.0), "-20 5 0 15"),  # left of the image, touching its edge
+        (Box(5.0, -20.0, 15.0, 0.0), "5 -20 15 0"),  # above it
+        (Box(48.0, 5.0, 58.5, 15.0), "48 5 58.5 15"),  # right of it
+        (Box(5.0, 48.0, 15.0, 60.25), "5 48 15 60.25"),  # below it
+        (Box(200.0, 0.0, 210.0, 10.0), "200 0 210 10"),  # far to the right
+    ],
+    ids=["left", "top", "right", "bottom", "far"],
+)
+def test_extract_refuses_a_window_outside_its_image_naming_the_proposal(tmp_path, capsys, box, coords):
+    spec = SynthSpec(n_classes=2, n_images=3, max_shapes=1, noise=0.2, image_size=48)
+    generate_dataset(tmp_path / "data", spec, seed=0)
+    manifest = tmp_path / "data" / "manifest.txt"
+    out = tmp_path / "out"
+    cfg = _micro_cfg()
+    stage_propose(cfg, manifest, out)
+    props_file = out / "proposals_data.txt"
+    props = read_proposals(props_file)
+    image_id = read_manifest(manifest).images[1].image_id
+    props[image_id].insert(2, box)
+    write_proposals(props_file, list(props.items()))
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(MICRO_CODEBOOK)
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {props_file}: image {image_id} proposal 2 ({coords}) lies outside its 48x48 image; "
+        "rerun 'propose' on this manifest\n"
+    )
+    assert not (out / "features_data.npz").exists()
+
+
 def _cli(verb, manifest, out, *extra):
     return cli.main([verb, "--manifest", str(manifest), "--out-dir", str(out), *extra])
 
@@ -894,6 +932,96 @@ def test_extract_refuses_codebook_values_that_break_the_encoding(pipe, tmp_path,
         "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
     )
     assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+
+
+def test_codebook_files_record_the_fit_settings_and_split(pipe):
+    settings = {
+        "ifv.stride": "8",
+        "ifv.gmm_iters": "20",
+        "ifv.gmm_tol": "9.9999999999999995e-07",
+        "ifv.variance_floor": "0.0001",
+        "ifv.codebook_samples": "1500",
+        "tag": "train",
+    }
+    pca_meta, _ = modelio.read_model(pipe["out"] / "codebook_pca.model", "pca")
+    gmm_meta, _ = modelio.read_model(pipe["out"] / "codebook_gmm.model", "gmm")
+    assert pca_meta == settings
+    assert gmm_meta == {"k": "4", "dim": "16", **settings}
+    for tag in ("train", "test"):
+        assert "codebook_tag train" in (pipe["out"] / f"runlog_extract_{tag}.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "key, value, saved, asks",
+    [
+        ("ifv.stride", "4", "8", "4"),
+        ("ifv.gmm_iters", "100", "20", "100"),
+        ("ifv.gmm_tol", "1e-5", "9.9999999999999995e-07", "1.0000000000000001e-05"),
+        ("ifv.variance_floor", "0.001", "0.0001", "0.001"),
+        ("ifv.codebook_samples", "20000", "1500", "20000"),
+    ],
+)
+def test_extract_refuses_a_codebook_fit_under_other_settings(pipe, tmp_path, capsys, key, value, saved, asks):
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(f"{MICRO_CODEBOOK}{key} = {value}\n")
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {out / 'codebook_pca.model'}: saved codebook was fit with {key} {saved} where the config "
+        f"asks for {asks}; delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+    )
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, kind, key", [("codebook_pca.model", "pca", "ifv.stride"), ("codebook_gmm.model", "gmm", "tag")]
+)
+def test_extract_refuses_a_codebook_that_records_no_settings(pipe, tmp_path, capsys, name, kind, key):
+    # as a codebook written before the files recorded their settings
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(MICRO_CODEBOOK)
+    path = out / name
+    meta, arrays = modelio.read_model(path, kind)
+    del meta[key]
+    modelio.write_model(path, kind, meta, arrays)
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {path}: saved codebook records no {key}; "
+        "delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+    )
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+
+
+def _run_log_values(path):
+    return dict(line.split(" ", 1) for line in path.read_text().splitlines())
+
+
+def test_propose_logs_the_box_counts_and_the_capped_images(pipe, tmp_path):
+    for tag in ("train", "test"):
+        counts = [len(b) for b in read_proposals(pipe["out"] / f"proposals_{tag}.txt").values()]
+        log = _run_log_values(pipe["out"] / f"runlog_propose_{tag}.txt")
+        assert log["boxes_min"] == str(min(counts)) and log["boxes_max"] == str(max(counts))
+        assert float(log["boxes_median"]) == np.median(counts)
+        assert log["capped"] == "0"  # far below the default cap
+    # under a cap every image reaches, each counts
+    cfg = dataclasses.replace(pipe["cfg"], proposals_max_per_image=3)
+    stage_propose(cfg, pipe["test_manifest"], tmp_path)
+    log = _run_log_values(tmp_path / "runlog_propose_test.txt")
+    assert (log["boxes_min"], log["boxes_median"], log["boxes_max"], log["capped"]) == ("3", "3", "3", "8")
+
+
+def test_train_fusion_logs_the_weight_mass_of_each_channel(pipe):
+    weights = LinearBank.load(pipe["out"] / "fusion.model").weights
+    n = len(weights)  # categories; each channel has n columns
+    log = _run_log_values(pipe["out"] / "runlog_train-fusion_train.txt")
+    for c, channel in enumerate(CHANNELS):
+        mass = float(log[f"weight_mass_{channel}"])
+        assert mass == np.abs(weights[:, c * n : (c + 1) * n]).sum() and mass > 0
 
 
 def test_hard_negative_mining_retrains_the_banks_reproducibly(pipe, tmp_path):
