@@ -113,7 +113,7 @@ def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray
     patches stay zero). planes is one (h, w) plane, giving an array of shape
     (count, patch*patch*2), or a (P, h, w) stack of equal-size planes, giving
     (P, count, patch*patch*2) in one pass; count is zero when a plane is
-    smaller than the patch.
+    smaller than the patch. The gradients are np.gradient's, bit for bit.
     """
     if stride < 1 or patch < 2:
         raise ValueError(f"need stride >= 1 and patch >= 2, got {stride}, {patch}")
@@ -124,14 +124,31 @@ def dense_descriptors(planes: np.ndarray, stride: int, patch: int) -> np.ndarray
     if w < patch or h < patch:
         out = np.zeros((n, 0, length))
     else:
-        gy, gx = np.gradient(stack, axis=(1, 2))
-        grads = np.stack([gx, gy], axis=-1)  # (n, h, w, 2)
+        # np.gradient's differences along x, then y: central ones inside,
+        # one-sided at the edges. Each axis's central ones are formed along
+        # the flattened stack, where they are contiguous, then its edges are
+        # overwritten, and the lot is written into its half of the (dx, dy)
+        # pairs
+        flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(-1)
+        grads = np.empty((n, h, w, 2))
+        diff = np.empty((n, h, w))
+        for axis, pair, step in ((2, 0, 1), (1, 1, w)):
+            inner = diff.reshape(-1)[step:-step]
+            np.subtract(flat[2 * step :], flat[: -2 * step], out=inner)
+            inner *= 0.5  # the same bits as np.gradient's / 2.0
+            f = np.moveaxis(flat.reshape(n, h, w), axis, 0)
+            d = np.moveaxis(diff, axis, 0)
+            np.subtract(f[1], f[0], out=d[0])
+            np.subtract(f[-1], f[-2], out=d[-1])
+            grads[..., pair] = diff
         squares = sliding_window_view(grads, (patch, patch, 2), axis=(1, 2, 3))
         out = squares[:, ::stride, ::stride, 0].reshape(n, -1, length)
+        if np.may_share_memory(out, grads):
+            # the reshape kept a view (a plane one patch wide), whose rows
+            # may overlap; normalize a copy
+            out = out.copy()
         norms = np.sqrt(np.vecdot(out, out))
-        # out of place: when each window row is one contiguous block of
-        # grads, out is still the read-only view
-        out = out / np.where(norms > _EPS, norms, 1.0)[..., None]
+        out /= np.where(norms > _EPS, norms, 1.0)[..., None]
     return out[0] if single else out
 
 
@@ -179,18 +196,23 @@ def pca_fit(descriptors: np.ndarray, target_dim: int, overwrite_descriptors: boo
     return PcaModel(mean=mean, basis=basis)
 
 
-def pca_apply(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
+def pca_apply(model: PcaModel, descriptors: np.ndarray, overwrite_descriptors: bool = False) -> np.ndarray:
     """Projects a (T, raw_dim) descriptor set to (T, dim), or a (P, T, raw_dim)
     stack to (P, T, dim) in one call.
 
     A stack is multiplied one (T, raw_dim) matrix at a time, so each set gets
     exactly the values it gets on its own; one flattened (P*T, raw_dim)
     product can differ in the last ulp.
+
+    With overwrite_descriptors, a float64 descriptors array is centred in
+    place instead of copied, as in pca_fit; the projection has the same bits.
     """
     X = np.asarray(descriptors, dtype=np.float64)
     if X.shape[-1] != model.mean.shape[0]:
         raise ValueError(f"descriptor dim {X.shape[-1]} does not match model {model.mean.shape[0]}")
-    return (X - model.mean) @ model.basis
+    centered = X if overwrite_descriptors else X.copy()
+    centered -= model.mean
+    return centered @ model.basis
 
 
 def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

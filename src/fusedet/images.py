@@ -70,10 +70,10 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pnm(path) -> Image:
-    """Read a binary PGM (P5) or PPM (P6) file, 8-bit samples only."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _pnm_layout(path, data: bytes) -> tuple[int, int, int, int]:
+    """(width, height, channels, raster offset) of a binary PGM (P5) or PPM
+    (P6) file's bytes, 8-bit samples only; ValueError naming path if they
+    are not one."""
     try:
         magic, pos = _read_token(data, 0)
         if magic == b"P5":
@@ -97,11 +97,26 @@ def read_pnm(path) -> Image:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     need = width * height * channels
-    raster = data[pos : pos + need]
-    if len(raster) != need:
-        raise ValueError(f"{path}: raster has {len(raster)} bytes, expected {need}")
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    return Image(width=width, height=height, channels=channels, pixels=arr.copy())
+    have = min(max(len(data) - pos, 0), need)
+    if have != need:
+        raise ValueError(f"{path}: raster has {have} bytes, expected {need}")
+    return width, height, channels, pos
+
+
+def pnm_size(path) -> tuple[int, int, int]:
+    """(width, height, channels) of the image read_pnm reads from path, with
+    its checks and errors, without decoding the pixels."""
+    with open(path, "rb") as fh:
+        return _pnm_layout(path, fh.read())[:3]
+
+
+def read_pnm(path) -> Image:
+    """Read a binary PGM (P5) or PPM (P6) file, 8-bit samples only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    width, height, channels, pos = _pnm_layout(path, data)
+    arr = np.frombuffer(data, dtype=np.uint8, count=width * height * channels, offset=pos)
+    return Image(width=width, height=height, channels=channels, pixels=arr.reshape(height, width, channels).copy())
 
 
 def write_pnm(img: Image, path) -> None:
@@ -158,6 +173,13 @@ def sample_window(raster: np.ndarray, corners: np.ndarray, out_w: int, out_h: in
     into each window; source coordinates are clamped to the raster, so a
     window crossing the border stays well defined and one wholly outside it
     takes the border's values (extract refuses such windows).
+
+    The blend is separable: each source row that a window's samples read is
+    blended along x once, and each output row blends a pair of those rows
+    along y. A sample is still (a * (1 - fx) + b * fx) * (1 - fy) +
+    (c * (1 - fx) + d * fx) * fy of its four neighbours, formed in that
+    order, so it has the bits of the four-neighbour gather; a window blends
+    only the rows its samples read, never more than two per output row.
     """
     if out_w <= 0 or out_h <= 0:
         raise ValueError("output size must be positive")
@@ -172,29 +194,36 @@ def sample_window(raster: np.ndarray, corners: np.ndarray, out_w: int, out_h: in
     pixels = raster.reshape(h * w, -1)  # one row of channel samples per pixel
     # the x weights are repeated over the channels, so that each product
     # runs over whole (out_w, channels) rows, not over runs of `channels`
-    fx = np.repeat((xs - x0)[:, None, :, None], pixels.shape[1], axis=3)
+    fx = np.repeat((xs - x0)[:, :, None], pixels.shape[1], axis=2)
     fy = (ys - y0)[:, :, None, None]
-    x1 = np.minimum(x0 + 1, w - 1)[:, None, :]
-    row0 = (y0 * w)[:, :, None]
-    row1 = (np.minimum(y0 + 1, h - 1) * w)[:, :, None]
-    x0 = x0[:, None, :]
 
-    def blend(index_a, index_b, weight_b):
-        """a * (1 - weight_b) + b * weight_b, formed in place, as
-        (P, out_h, out_w, channels)."""
-        a = pixels.take(index_a, axis=0)
+    # the source rows each window reads, numbered window * h + row; `line`
+    # places each of them among the ones read, which are blended along x
+    first = (np.arange(len(corners)) * h)[:, None]
+    top = first + y0
+    bottom = first + np.minimum(y0 + 1, h - 1)
+    read = np.zeros(len(corners) * h, dtype=bool)
+    read[top] = read[bottom] = True
+    rows = np.flatnonzero(read)
+    line = np.cumsum(read) - 1
+    window = rows // h
+    row_start = ((rows - window * h) * w)[:, None]
+    x0 = x0[window]
+
+    def blend(a, b, weight_b):
+        """a * (1 - weight_b) + b * weight_b, formed in place in a."""
         a *= 1 - weight_b
-        b = pixels.take(index_b, axis=0)
         b *= weight_b
         a += b
         return a
 
-    top = blend(row0 + x0, row0 + x1, fx)
-    bot = blend(row1 + x0, row1 + x1, fx)
-    top *= 1 - fy
-    bot *= fy
-    top += bot
-    return top if raster.ndim == 3 else top[..., 0]
+    blended = blend(
+        pixels.take(row_start + x0, axis=0),
+        pixels.take(row_start + np.minimum(x0 + 1, w - 1), axis=0),
+        fx[window],
+    )
+    out = blend(blended.take(line[top], axis=0), blended.take(line[bottom], axis=0), fy)
+    return out if raster.ndim == 3 else out[..., 0]
 
 
 def sample_window_rgb(px: np.ndarray, corners: np.ndarray, out_w: int, out_h: int) -> np.ndarray:

@@ -4,10 +4,12 @@
 the process may use, and returns the results in index order. A worker is a
 fork of the calling process: it sees the caller's data as it was at the
 fork, and writes its rows into arrays from `shared_empty`, which the caller
-then reads. This module alone decides how many workers share a job, and
-outputs do not depend on that count; there is no setting for it. A worker
-ends with the call, or with the calling process if that is killed. Four
-places use it:
+then reads. The caller hands the indices out in order, one at a time, to
+whichever worker is free, over one pipe per worker; each worker sends back
+the pickled result or exception of each index over another. This module
+alone decides how many workers share a job, and outputs do not depend on
+that count; there is no setting for it. A worker ends with the call, or with
+the calling process if that is killed. Four places use it:
 
 - propose and extract, over the images of a split, each independent of the
   others;
@@ -30,10 +32,13 @@ import ctypes
 import mmap
 import multiprocessing
 import os
+import pickle
+import selectors
 import signal
+import struct
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Tuple, TypeVar
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
 
@@ -111,27 +116,145 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_work: Optional[Callable[[int], object]] = None  # set in each worker
-
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
+_INDEX = struct.Struct("q")  # an index, as the caller sends it to a worker
+_SIZE = struct.Struct("Q")  # the length of the pickled answer that follows
 
-def _start_worker(work: Callable[[int], object], parent: int) -> None:
-    """Sets up a worker forked from the process parent, which Linux kills
-    when parent dies; if parent is already gone, the worker exits at once."""
-    global _work
+
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from fd; EOFError if its writer closes it first."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            raise EOFError
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _answer(work: Callable[[int], object], i: int) -> bytes:
+    """The framed, pickled answer for index i: (True, work(i)), or (False,
+    the exception work raised). An answer that cannot be pickled becomes a
+    RuntimeError naming the index and what it could not send."""
+    try:
+        answer = (True, work(i))
+    except Exception as exc:
+        answer = (False, exc)
+    try:
+        data = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        what = "its result" if answer[0] else f"its {type(answer[1]).__name__}: {answer[1]}"
+        error = RuntimeError(f"the worker for index {i} cannot send back {what} ({type(exc).__name__}: {exc})")
+        data = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+    return _SIZE.pack(len(data)) + data
+
+
+def _serve(work: Callable[[int], object], tasks: int, answers: int, parent: int, inherited: List[int]) -> None:
+    """The life of a worker forked from the process parent: it answers each
+    index read from tasks on answers, and returns when the caller closes
+    tasks. Linux kills it when parent dies; if parent is already gone, it
+    exits at once. inherited are the caller's pipe ends, which it closes so
+    that it and the other workers see their pipes close with the caller."""
     if sys.platform.startswith("linux"):
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)
-    _work = work
+    for fd in inherited:
+        os.close(fd)
     single_thread_blas()
+    while True:
+        index = os.read(tasks, _INDEX.size)  # whole or empty: the caller writes each index at once
+        if not index:
+            return
+        _write(answers, _answer(work, _INDEX.unpack(index)[0]))
 
 
-def _run(i: int):
-    return _work(i)
+def _map_forked(work: Callable[[int], T], n: int, workers: int) -> List[T]:
+    """map_indices over that many forked workers (2 <= workers <= n)."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()  # what the caller has buffered is written once, not once more per worker
+    fork = multiprocessing.get_context("fork")
+    procs, tasks, answers = [], [], []  # per worker: its process, the ends indices go in and answers come out
+    ended = False
+    try:
+        for _ in range(workers):
+            task_out, task_in = os.pipe()
+            answer_out, answer_in = os.pipe()
+            inherited = tasks + answers + [task_in, answer_out]
+            proc = fork.Process(target=_serve, args=(work, task_out, answer_in, os.getpid(), inherited))
+            proc.start()
+            os.close(task_out)
+            os.close(answer_in)
+            procs.append(proc)
+            tasks.append(task_in)
+            answers.append(answer_out)
+        results: List[T] = [None] * n
+        failure = None  # (index, exception) of the lowest index that failed so far
+        running = {}  # worker -> the index it is working on
+
+        def broken(k: int) -> BrokenProcessPool:
+            procs[k].join()
+            return BrokenProcessPool(
+                f"a worker process ended (exit code {procs[k].exitcode}) before answering for index {running[k]}"
+            )
+
+        def hand_out(k: int, i: int) -> None:
+            running[k] = i
+            try:
+                _write(tasks[k], _INDEX.pack(i))
+            except BrokenPipeError:
+                raise broken(k) from None
+
+        for k in range(workers):
+            hand_out(k, k)
+        following = workers  # the next index to hand out
+        with selectors.DefaultSelector() as waiting:
+            for k, fd in enumerate(answers):
+                waiting.register(fd, selectors.EVENT_READ, k)
+            while running:
+                for key, _ in waiting.select():
+                    k = key.data
+                    try:
+                        data = _read(answers[k], _SIZE.unpack(_read(answers[k], _SIZE.size))[0])
+                    except EOFError:
+                        raise broken(k) from None
+                    i = running.pop(k)
+                    try:
+                        ok, value = pickle.loads(data)
+                    except Exception as exc:
+                        ok, value = False, RuntimeError(
+                            f"the answer for index {i} cannot be unpickled ({type(exc).__name__}: {exc})"
+                        )
+                    if ok:
+                        results[i] = value
+                    elif failure is None or i < failure[0]:
+                        failure = (i, value)
+                    # every index below a failed one is already handed out,
+                    # and the ones above it are not needed
+                    if following < n and failure is None:
+                        hand_out(k, following)
+                        following += 1
+        ended = True
+        if failure is not None:
+            raise failure[1]
+        return results
+    finally:
+        for fd in tasks + answers:
+            os.close(fd)  # an idle worker reads the end of its tasks and returns
+        for proc in procs:
+            if not ended:
+                proc.kill()
+            proc.join()
 
 
 def map_indices(work: Callable[[int], T], n: int) -> List[T]:
@@ -140,17 +263,17 @@ def map_indices(work: Callable[[int], T], n: int) -> List[T]:
 
     The workers are forks, so work may close over anything, including
     shared_empty arrays that it fills in; only an index and work's result
-    are pickled between processes. Results come back in index order, so the
-    first index that fails raises its exception here, as a plain loop would;
-    the indices not yet started are then dropped. No worker outlives the
+    are pickled between processes. A free worker takes the next index, so
+    long and short tasks balance over the workers. If an index fails, no
+    further index is handed out; once the running ones have answered, the
+    exception of the lowest failed index is raised here, as in a plain loop.
+    A result or exception that cannot be pickled fails its index with a
+    RuntimeError saying so. A worker that dies without answering (killed
+    from outside, say) raises BrokenProcessPool. No worker outlives the
     call, nor this process if it is killed.
     """
     _release_free_heap()
     workers = worker_count(usable_cpus(), n)
     if workers == 1:
         return [work(i) for i in range(n)]
-    # unlike multiprocessing.Pool, which waits forever for the result of a
-    # worker that was killed, the executor then raises BrokenProcessPool
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, fork, _start_worker, (work, os.getpid())) as pool:
-        return list(pool.map(_run, range(n)))
+    return _map_forked(work, n, workers)

@@ -51,6 +51,7 @@ from .images import (
     Image,
     draw_rect,
     float_pixels,
+    pnm_size,
     read_pnm,
     sample_window_rgb,
     to_grayscale,
@@ -248,9 +249,11 @@ def _fisher_rows(cfg: PipelineConfig, px: np.ndarray, windows: np.ndarray, pca: 
     and rounded to 8-bit samples, as if each were an image of its own."""
     side = cfg.ifv_window
     rgb = sample_window_rgb(px, windows, side, side)
-    np.clip(np.rint(rgb, out=rgb), 0, 255, out=rgb)
+    # a blend of 8-bit samples stays within [0, 255] (its weights are at most
+    # 1 and sum to 1 up to rounding), so rounding needs no clip
+    np.rint(rgb, out=rgb)
     descriptors = dense_descriptors(to_grayscale(rgb), cfg.ifv_stride, cfg.ifv_patch)
-    return fisher_encode(pca_apply(pca, descriptors), gmm)
+    return fisher_encode(pca_apply(pca, descriptors, overwrite_descriptors=True), gmm)
 
 
 def extract_image(
@@ -260,8 +263,9 @@ def extract_image(
     every window (a (P, 4) corner array) into the matching rows of the three
     outputs, and returns the Fisher vector and embedding of the whole image.
 
-    Every window must overlap the image. stage_extract checks this; the
-    samplers clamp a window wholly outside it to the border and raise nothing.
+    Every window must overlap the image. stage_extract checks this before
+    the codebook fit; the samplers clamp a window wholly outside it to the
+    border and raise nothing.
 
     Windows go through the feature functions EXTRACT_CHUNK at a time, so the
     float64 temporaries of one pass stay a few megabytes however many
@@ -288,6 +292,7 @@ def _codebook_settings(cfg: PipelineConfig) -> Dict[str, str]:
         "ifv.gmm_tol": modelio.fmt_float(cfg.ifv_gmm_tol),
         "ifv.variance_floor": modelio.fmt_float(cfg.ifv_variance_floor),
         "ifv.codebook_samples": str(cfg.ifv_codebook_samples),
+        "seed": str(cfg.seed),
     }
 
 
@@ -408,16 +413,34 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
                 f"no proposals for image {im.image_id}; rerun 'propose' on this manifest"
             )
 
-    pca, gmm, codebook = _fit_codebook(cfg, man, out_dir, tag)
-
     counts = np.array([len(props[im.image_id]) for im in man.images], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     n = int(counts.sum())
     box_rows = box_corners([box for im in man.images for box in props[im.image_id]])
-    # the first image fixes the split's channel count, and with it the
-    # embedding width, before any worker starts
-    first = read_pnm(man.resolved_path(man.images[0])) if man.images else None
-    channels = 0 if first is None else first.channels
+    # every image is read and its windows checked, in manifest order, before
+    # the codebook fit; the first image fixes the split's channel count, and
+    # with it the embedding width
+    channels = 0
+    for i, im in enumerate(man.images):
+        width, height, image_channels = pnm_size(man.resolved_path(im))
+        channels = channels or image_channels
+        if image_channels != channels:
+            raise ValueError(
+                f"{manifest_path}: image {man.images[0].image_id} has {channels} channels but image "
+                f"{im.image_id} has {image_channels}; the images of one split must share a channel count"
+            )
+        # the one check that every window overlaps its image, for all three samplers
+        windows = box_rows[starts[i] : starts[i] + counts[i]]
+        inside = (windows[:, 0] < width) & (windows[:, 1] < height) & (windows[:, 2] > 0) & (windows[:, 3] > 0)
+        if not inside.all():
+            p = int(np.argmin(inside))
+            raise MissingArtifact(
+                f"{props_file}: image {im.image_id} proposal {p} ({' '.join(map(modelio.fmt_float, windows[p]))}) "
+                f"lies outside its {width}x{height} image; rerun 'propose' on this manifest"
+            )
+
+    pca, gmm, codebook = _fit_codebook(cfg, man, out_dir, tag)
+
     ifv_length = fisher_length(pca.dim, gmm.k)
     cnn_width = channels * CNN_EMBED_SIDE**2
     hog_rows = shared_empty((n, hog_length(cfg.hog_cells_x, cfg.hog_cells_y)), np.float32)
@@ -427,25 +450,10 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     prior_cnn = shared_empty((len(man.images), cnn_width), np.float64)
 
     def image_rows(i: int) -> None:
-        im = man.images[i]
-        img = first if i == 0 else read_pnm(man.resolved_path(im))
-        if img.channels != channels:
-            raise ValueError(
-                f"{manifest_path}: image {man.images[0].image_id} has {channels} channels but image "
-                f"{im.image_id} has {img.channels}; the images of one split must share a channel count"
-            )
+        img = read_pnm(man.resolved_path(man.images[i]))
         rows = slice(starts[i], starts[i] + counts[i])
-        windows = box_rows[rows]
-        # the one check that every window overlaps its image, for all three samplers
-        inside = (windows[:, 0] < img.width) & (windows[:, 1] < img.height) & (windows[:, 2] > 0) & (windows[:, 3] > 0)
-        if not inside.all():
-            p = int(np.argmin(inside))
-            raise MissingArtifact(
-                f"{props_file}: image {im.image_id} proposal {p} ({' '.join(map(modelio.fmt_float, windows[p]))}) "
-                f"lies outside its {img.width}x{img.height} image; rerun 'propose' on this manifest"
-            )
         prior_rows[i], prior_cnn[i] = extract_image(
-            cfg, img, windows, pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
+            cfg, img, box_rows[rows], pca, gmm, hog_rows[rows], ifv_rows[rows], cnn_rows[rows]
         )
 
     map_indices(image_rows, len(man.images))

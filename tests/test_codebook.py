@@ -99,7 +99,7 @@ def _without_provenance(path, cfg, tag):
     """The text of a codebook file without the meta lines of the settings
     and split tag a fit records, after checking that it holds them."""
     lines = path.read_text().splitlines(keepends=True)
-    recorded = [ln for ln in lines if ln.startswith(("meta ifv.", "meta tag "))]
+    recorded = [ln for ln in lines if ln.startswith(("meta ifv.", "meta seed ", "meta tag "))]
     recorded_by_fit = {**pipeline._codebook_settings(cfg), "tag": tag}
     assert recorded == [f"meta {key} {value}\n" for key, value in recorded_by_fit.items()]
     return "".join(ln for ln in lines if ln not in recorded)

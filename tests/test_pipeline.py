@@ -727,6 +727,8 @@ def test_extract_refuses_a_window_outside_its_image_naming_the_proposal(tmp_path
         "rerun 'propose' on this manifest\n"
     )
     assert not (out / "features_data.npz").exists()
+    # the windows are checked before the codebook fit, which would have saved its files
+    assert sorted(out.glob("codebook_*")) == []
 
 
 def _cli(verb, manifest, out, *extra):
@@ -941,6 +943,7 @@ def test_codebook_files_record_the_fit_settings_and_split(pipe):
         "ifv.gmm_tol": "9.9999999999999995e-07",
         "ifv.variance_floor": "0.0001",
         "ifv.codebook_samples": "1500",
+        "seed": "0",
         "tag": "train",
     }
     pca_meta, _ = modelio.read_model(pipe["out"] / "codebook_pca.model", "pca")
@@ -971,6 +974,23 @@ def test_extract_refuses_a_codebook_fit_under_other_settings(pipe, tmp_path, cap
     assert capsys.readouterr().err == (
         f"fusedet: error: {out / 'codebook_pca.model'}: saved codebook was fit with {key} {saved} where the config "
         f"asks for {asks}; delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
+    )
+    assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
+
+
+def test_extract_refuses_a_codebook_fit_under_another_seed(pipe, tmp_path, capsys):
+    # the codebook draw and the k-means++ start both read the seed
+    out = tmp_path / "out"
+    shutil.copytree(pipe["out"], out)
+    manifest = out / "data" / "test" / "manifest.txt"
+    cfg_file = tmp_path / "cfg"
+    cfg_file.write_text(MICRO_CODEBOOK)
+    assert _cli("extract", manifest, out, "--config", str(cfg_file)) == 0
+    capsys.readouterr()
+    assert _cli("extract", manifest, out, "--config", str(cfg_file), "--seed", "1") == 1
+    assert capsys.readouterr().err == (
+        f"fusedet: error: {out / 'codebook_pca.model'}: saved codebook was fit with seed 0 where the config asks "
+        "for 1; delete codebook_pca.model and codebook_gmm.model and rerun 'extract' on the training split\n"
     )
     assert (out / "features_test.npz").read_bytes() == (pipe["out"] / "features_test.npz").read_bytes()
 
