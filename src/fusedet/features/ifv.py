@@ -196,23 +196,23 @@ def pca_fit(descriptors: np.ndarray, target_dim: int, overwrite_descriptors: boo
     return PcaModel(mean=mean, basis=basis)
 
 
-def pca_apply(model: PcaModel, descriptors: np.ndarray, overwrite_descriptors: bool = False) -> np.ndarray:
+def pca_apply(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
     """Projects a (T, raw_dim) descriptor set to (T, dim), or a (P, T, raw_dim)
     stack to (P, T, dim) in one call.
+
+    A float64 descriptors array is centred in place: its values are
+    overwritten, and a caller that needs them again passes a copy. Other
+    dtypes are converted to a new array first.
 
     A stack is multiplied one (T, raw_dim) matrix at a time, so each set gets
     exactly the values it gets on its own; one flattened (P*T, raw_dim)
     product can differ in the last ulp.
-
-    With overwrite_descriptors, a float64 descriptors array is centred in
-    place instead of copied, as in pca_fit; the projection has the same bits.
     """
     X = np.asarray(descriptors, dtype=np.float64)
     if X.shape[-1] != model.mean.shape[0]:
         raise ValueError(f"descriptor dim {X.shape[-1]} does not match model {model.mean.shape[0]}")
-    centered = X if overwrite_descriptors else X.copy()
-    centered -= model.mean
-    return centered @ model.basis
+    X -= model.mean
+    return X @ model.basis
 
 
 def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

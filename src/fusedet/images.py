@@ -70,10 +70,10 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _pnm_layout(path, data: bytes) -> tuple[int, int, int, int]:
-    """(width, height, channels, raster offset) of a binary PGM (P5) or PPM
-    (P6) file's bytes, 8-bit samples only; ValueError naming path if they
-    are not one."""
+def read_pnm(path) -> Image:
+    """Read a binary PGM (P5) or PPM (P6) file, 8-bit samples only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         magic, pos = _read_token(data, 0)
         if magic == b"P5":
@@ -97,26 +97,11 @@ def _pnm_layout(path, data: bytes) -> tuple[int, int, int, int]:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
     need = width * height * channels
-    have = min(max(len(data) - pos, 0), need)
-    if have != need:
-        raise ValueError(f"{path}: raster has {have} bytes, expected {need}")
-    return width, height, channels, pos
-
-
-def pnm_size(path) -> tuple[int, int, int]:
-    """(width, height, channels) of the image read_pnm reads from path, with
-    its checks and errors, without decoding the pixels."""
-    with open(path, "rb") as fh:
-        return _pnm_layout(path, fh.read())[:3]
-
-
-def read_pnm(path) -> Image:
-    """Read a binary PGM (P5) or PPM (P6) file, 8-bit samples only."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, channels, pos = _pnm_layout(path, data)
-    arr = np.frombuffer(data, dtype=np.uint8, count=width * height * channels, offset=pos)
-    return Image(width=width, height=height, channels=channels, pixels=arr.reshape(height, width, channels).copy())
+    raster = data[pos : pos + need]
+    if len(raster) != need:
+        raise ValueError(f"{path}: raster has {len(raster)} bytes, expected {need}")
+    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+    return Image(width=width, height=height, channels=channels, pixels=arr.copy())
 
 
 def write_pnm(img: Image, path) -> None:

@@ -244,6 +244,10 @@ def _map_forked(work: Callable[[int], T], n: int, workers: int) -> List[T]:
                     if following < n and failure is None:
                         hand_out(k, following)
                         following += 1
+                    else:
+                        # idle from now on: its pipe closing (it is killed,
+                        # say) loses no answer
+                        waiting.unregister(answers[k])
         ended = True
         if failure is not None:
             raise failure[1]
@@ -269,7 +273,8 @@ def map_indices(work: Callable[[int], T], n: int) -> List[T]:
     exception of the lowest failed index is raised here, as in a plain loop.
     A result or exception that cannot be pickled fails its index with a
     RuntimeError saying so. A worker that dies without answering (killed
-    from outside, say) raises BrokenProcessPool. No worker outlives the
+    from outside, say) raises BrokenProcessPool; one that dies idle, with no
+    index left for it, changes nothing. No worker outlives the
     call, nor this process if it is killed.
     """
     _release_free_heap()

@@ -51,7 +51,6 @@ from .images import (
     Image,
     draw_rect,
     float_pixels,
-    pnm_size,
     read_pnm,
     sample_window_rgb,
     to_grayscale,
@@ -253,7 +252,7 @@ def _fisher_rows(cfg: PipelineConfig, px: np.ndarray, windows: np.ndarray, pca: 
     # 1 and sum to 1 up to rounding), so rounding needs no clip
     np.rint(rgb, out=rgb)
     descriptors = dense_descriptors(to_grayscale(rgb), cfg.ifv_stride, cfg.ifv_patch)
-    return fisher_encode(pca_apply(pca, descriptors, overwrite_descriptors=True), gmm)
+    return fisher_encode(pca_apply(pca, descriptors), gmm)
 
 
 def extract_image(
@@ -422,21 +421,21 @@ def stage_extract(cfg: PipelineConfig, manifest_path, out_dir, tag: Optional[str
     # with it the embedding width
     channels = 0
     for i, im in enumerate(man.images):
-        width, height, image_channels = pnm_size(man.resolved_path(im))
-        channels = channels or image_channels
-        if image_channels != channels:
+        img = read_pnm(man.resolved_path(im))
+        channels = channels or img.channels
+        if img.channels != channels:
             raise ValueError(
                 f"{manifest_path}: image {man.images[0].image_id} has {channels} channels but image "
-                f"{im.image_id} has {image_channels}; the images of one split must share a channel count"
+                f"{im.image_id} has {img.channels}; the images of one split must share a channel count"
             )
         # the one check that every window overlaps its image, for all three samplers
         windows = box_rows[starts[i] : starts[i] + counts[i]]
-        inside = (windows[:, 0] < width) & (windows[:, 1] < height) & (windows[:, 2] > 0) & (windows[:, 3] > 0)
+        inside = (windows[:, 0] < img.width) & (windows[:, 1] < img.height) & (windows[:, 2] > 0) & (windows[:, 3] > 0)
         if not inside.all():
             p = int(np.argmin(inside))
             raise MissingArtifact(
                 f"{props_file}: image {im.image_id} proposal {p} ({' '.join(map(modelio.fmt_float, windows[p]))}) "
-                f"lies outside its {width}x{height} image; rerun 'propose' on this manifest"
+                f"lies outside its {img.width}x{img.height} image; rerun 'propose' on this manifest"
             )
 
     pca, gmm, codebook = _fit_codebook(cfg, man, out_dir, tag)

@@ -1,8 +1,8 @@
 """Extract's kernels against frozen copies of their earlier forms, bit for
-bit: the separable window sampler against the four-neighbour gather, the
-descriptors written straight into their gradient pairs against
-np.gradient and a stacked copy, and PCA centred in place against a copy.
-Then the worker runner's answers that cannot be pickled.
+bit: the separable window sampler against the four-neighbour gather, and
+the descriptors written straight into their gradient pairs against
+np.gradient and a stacked copy. Then the worker runner's answers that
+cannot be pickled, and a worker killed once it is idle.
 """
 
 import os
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fusedet.features import PcaModel, dense_descriptors, pca_apply
+from fusedet.features import dense_descriptors
 from fusedet.images import sample_window
 
 
@@ -146,18 +146,6 @@ def test_dense_descriptors_on_overlapping_patches_of_a_plane_one_patch_wide():
         assert _same(dense_descriptors(plane, stride, 8), _stacked_dense_descriptors(plane, stride, 8))
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(5, 6), (3, 4, 6), (1, 1, 6), (2, 0, 6)]))
-def test_pca_apply_in_place_has_the_bits_of_the_copying_form(seed, shape):
-    rng = np.random.default_rng(seed)
-    model = PcaModel(mean=rng.normal(size=6), basis=rng.normal(size=(6, 3)))
-    descriptors = rng.normal(size=shape)
-    copied = pca_apply(model, descriptors)
-    held = descriptors.copy()
-    assert _same(pca_apply(model, descriptors, overwrite_descriptors=True), copied)
-    assert _same(descriptors, held - model.mean)  # centred in place
-
-
 _UNPICKLABLE = """
 import os, threading
 from fusedet import parallel
@@ -208,3 +196,48 @@ def test_an_answer_that_cannot_be_pickled_fails_the_call_with_one_error_and_no_c
         "(TypeError: Odd.__init__() missing 1 required positional argument: 'b')",
         "no child",
     ], done.stderr
+
+
+_IDLE_KILLED = """
+import os, signal, sys, time
+from fusedet import parallel
+os.sched_getaffinity = lambda pid: {0, 1}
+mark = sys.argv[1]
+
+def state(pid):
+    with open(f"/proc/{pid}/stat") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0]
+
+def work(i):
+    if i == 0:  # the first worker answers at once, and then has no index left
+        with open(mark, "w") as fh:
+            fh.write(str(os.getpid()))
+        return "first"
+    while not os.path.exists(mark) or not open(mark).read():
+        time.sleep(0.01)
+    idle = int(open(mark).read())
+    while state(idle) != "S":  # asleep: waiting for an index that never comes
+        time.sleep(0.01)
+    os.kill(idle, signal.SIGKILL)
+    time.sleep(0.3)  # the caller sees the idle worker's pipe close first
+    return "second"
+
+print(parallel.map_indices(work, 2))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+
+
+def test_a_worker_killed_once_idle_leaves_the_call_its_results(tmp_path):
+    # the killed worker had answered its last index; the call still returns
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _IDLE_KILLED, str(tmp_path / "pid")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines() == ["['first', 'second']", "no child"], done.stderr

@@ -101,7 +101,7 @@ def test_pca_exact_subspace_reconstruction():
     basis = np.linalg.qr(rng.normal(size=(10, 3)))[0]
     X = rng.normal(size=(200, 3)) @ basis.T + rng.normal(size=10)
     model = pca_fit(X, 3)
-    Z = pca_apply(model, X)
+    Z = pca_apply(model, X.copy())
     recon = Z @ model.basis.T + model.mean
     assert np.allclose(recon, X, atol=1e-8)
 
@@ -142,7 +142,7 @@ def test_pca_component_variances_match_power_iteration():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(300, 5)) * np.array([3.0, 2.0, 1.5, 1.0, 0.5])
     model = pca_fit(X, 3)
-    Z = pca_apply(model, X)
+    Z = pca_apply(model, X.copy())
     got = Z.var(axis=0)  # biased, matching the 1/n covariance
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / X.shape[0]
@@ -155,7 +155,7 @@ def test_pca_preserves_inner_products_in_subspace():
     basis = np.linalg.qr(rng.normal(size=(8, 3)))[0]
     X = rng.normal(size=(60, 3)) @ basis.T
     model = pca_fit(X, 3)
-    Z = pca_apply(model, X)
+    Z = pca_apply(model, X.copy())
     centered = X - X.mean(axis=0)
     assert np.allclose(Z @ Z.T, centered @ centered.T, atol=1e-6)
 
@@ -172,7 +172,7 @@ def test_pca_apply_stack_equals_each_set_alone(count):
     rng = np.random.default_rng(count)
     model = pca_fit(rng.normal(size=(600, 512)), 5)
     stack = rng.normal(size=(8, count, 512))
-    Z = pca_apply(model, stack)
+    Z = pca_apply(model, stack.copy())
     assert Z.shape == (8, count, 5)
     for p in range(8):
         assert np.array_equal(Z[p], pca_apply(model, stack[p]))
@@ -187,7 +187,7 @@ def test_pca_fit_that_may_overwrite_centres_in_place():
     assert centred.mean.tobytes() == model.mean.tobytes()
     assert centred.basis.tobytes() == model.basis.tobytes()
     assert pool.tobytes() == (X - model.mean).tobytes()
-    assert (pool @ model.basis).tobytes() == pca_apply(model, X).tobytes()
+    assert (pool @ model.basis).tobytes() == pca_apply(model, X.copy()).tobytes()
     # a fit that may not overwrite leaves its input alone
     before = X.copy()
     pca_fit(X, 6)
